@@ -27,6 +27,7 @@ from .model import (
     MeanRiskInstance,
     RiskWeighting,
     SimplexProblem,
+    _unit,
     eval_f,
     fix_variable,
     grad_f,
@@ -244,12 +245,6 @@ class ChildValues:
             self._hi = self.upper + 1
 
 
-def _unit(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return e
-
-
 def _greedy_vertex(sub: FixedSubproblem, h: RiskWeighting) -> int:
     """Free position minimizing the single-vertex pessimistic objective."""
     M, r = sub.M_s, sub.r_s
@@ -300,15 +295,15 @@ def _node_start(
     rule: WarmstartRule,
     h: RiskWeighting,
     origin: fw.OriginCheck | None,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Starting point per the warmstart rule, adjusted to beat the origin.
 
     On a d = 0 node (where f may be non-differentiable at the origin and the
     origin was already rejected) the start must satisfy f(z0) < f(0): the
     rule point is tried first, then the best unit vertex, then backtracking
-    along the origin check's descent certificate. Returning None means no
-    such point was found (only reachable after an unconverged origin check);
-    the caller then refuses to prune and branches from y* = 0.
+    along the origin check's descent certificate. The certificate is a
+    strict descent ray, so the backtracking succeeds (at t = 1 already for
+    the positively homogeneous linear weighting); failing it is an error.
 
     On a d > 0 node any finite-valued point works; an infinite warmstart
     value (ExpThreshold overflow) is shrunk toward the origin until finite.
@@ -330,17 +325,13 @@ def _node_start(
     i = int(np.argmin(values))
     if math.isfinite(float(values[i])) and float(values[i]) < f_origin:
         return _unit(p.dim, i)
-    cert = origin.certificate if origin is not None else None
-    if cert is not None and float(cert.max()) > 0.0:
-        ray = np.maximum(cert, 0.0)
-        ray /= ray.sum()
-        t = 1.0
-        for _ in range(60):
-            if eval_f(p, t * ray) < f_origin:
-                return t * ray
-            t *= 0.5
-    log.warning("no starting point beats the origin; node will branch without pruning")
-    return None
+    ray = origin.certificate / origin.certificate.sum()
+    t = 1.0
+    for _ in range(60):
+        if eval_f(p, t * ray) < f_origin:
+            return t * ray
+        t *= 0.5
+    raise RuntimeError("no point along the origin check's descent certificate beats the origin")
 
 
 def _polish_leaf(p: SimplexProblem, z0: np.ndarray) -> np.ndarray:
@@ -365,7 +356,9 @@ def _polish_leaf(p: SimplexProblem, z0: np.ndarray) -> np.ndarray:
         jac=grad,
         method="SLSQP",
         bounds=[(0.0, 1.0)] * p.dim,
-        constraints=[{"type": "ineq", "fun": lambda z: 1.0 - z.sum()}],
+        constraints=[
+            {"type": "ineq", "fun": lambda z: 1.0 - z.sum(), "jac": lambda z: -np.ones_like(z)}
+        ],
         options={"maxiter": 200, "ftol": 1e-14},
     )
     z = np.clip(np.asarray(res.x, dtype=float), 0.0, None)
@@ -460,26 +453,20 @@ def solve(
                 return _Outcome(bound=objective_min(inst, y, h))
 
         z0 = _node_start(p, sub, parent_y, cfg.warmstart, h, origin)
-        if z0 is None:
-            y_star = sub.assemble(np.zeros(p.dim))
-            consider(y_star, "leaf")
-            bound = -math.inf
-            relax_optimal = False
-        else:
-            res = fw.solve_relaxation(p, z0, prune_threshold=threshold(), cfg=cfg.fw)
-            fw_iters += res.iters
-            if node_audit is not None:
-                node_audit(p, res)
-            bound = res.dual_bound
-            if res.status is fw.RelaxationStatus.PRUNED_BY_BOUND or bound >= threshold():
-                return _Outcome(bound=bound)
-            y_star = sub.assemble(res.z_star * p.scale)
-            relax_optimal = res.status is fw.RelaxationStatus.OPTIMAL
+        res = fw.solve_relaxation(p, z0, prune_threshold=threshold(), cfg=cfg.fw)
+        fw_iters += res.iters
+        if node_audit is not None:
+            node_audit(p, res)
+        bound = res.dual_bound
+        if res.status is fw.RelaxationStatus.PRUNED_BY_BOUND or bound >= threshold():
+            return _Outcome(bound=bound)
+        y_star = sub.assemble(res.z_star * p.scale)
+        relax_optimal = res.status is fw.RelaxationStatus.OPTIMAL
 
         free_int = [i for i in sub.free_index_map if i in integer]
         if not free_int:
             # continuous leaf: the relaxation solution is the node solution
-            if not relax_optimal and z0 is not None:
+            if not relax_optimal:
                 uncertified += 1
                 y_star = sub.assemble(_polish_leaf(p, res.z_star) * p.scale)
             consider(y_star, "leaf")

@@ -22,8 +22,9 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
-from .model import GradientUndefined, SimplexProblem, eval_f
+from .model import GradientUndefined, SimplexProblem, _unit, eval_f
 
 __all__ = [
     "ALPHA_CAP",
@@ -391,6 +392,8 @@ class OriginCheck:
     ``certificate``, present when the origin is rejected, is a nonnegative,
     nonzero direction of strict descent at the origin. ``inner_value`` is the
     value of the nonnegative least-squares subproblem when one was solved.
+    ``converged`` is always True: both branches of the check are exact. The
+    field stays because tracing tools count unconverged checks from it.
     """
 
     origin_optimal: bool
@@ -399,26 +402,21 @@ class OriginCheck:
     converged: bool = True
 
 
-def _unit(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return e
-
-
-def origin_optimality_check(
-    p: SimplexProblem, max_iter: int = 10_000, tol: float = 1e-9
-) -> OriginCheck:
+def origin_optimality_check(p: SimplexProblem) -> OriginCheck:
     """Decide whether z = 0 minimizes a node whose root term vanishes there.
 
     Only meaningful when d = 0 and c = 0, where f may lose differentiability
     at the origin. With zero slope at the origin (quadratic or thresholded
     weightings) the test is closed-form: the origin is optimal iff mu <= 0.
     Otherwise optimality is equivalent to min_{y>=0} (y+mu)'Q^{-1}(y+mu)
-    <= h'(0)^2, solved by projected gradient with a fixed step derived from a
-    power-method curvature estimate (Q factorized once). A feasible value
-    already under the threshold proves optimality even without convergence;
-    an unconverged run above it falls back conservatively to "not optimal"
-    with a logged warning.
+    <= h'(0)^2. With Q = LL' that is the nonnegative least-squares problem
+    min_{y>=0} ||L^{-1}y + L^{-1}mu||, which Lawson-Hanson NNLS solves
+    exactly in finitely many steps.
+
+    At the NNLS solution g = Q^{-1}(y+mu) satisfies g >= 0 and y'g = 0, so
+    mu'g = g'Qg = inner value; along g the slope of f at the origin is
+    sqrt(v) (h'(0) - sqrt(v)) with v the inner value, negative whenever the
+    origin is rejected. max(g, 0) is returned as the descent certificate.
     """
     if p.d != 0.0 or np.any(p.c != 0.0):
         raise ValueError("origin check applies only to nodes with d = 0 and c = 0")
@@ -429,58 +427,23 @@ def origin_optimality_check(
             return OriginCheck(True)
         return OriginCheck(False, certificate=_unit(p.dim, int(np.argmax(mu))))
 
-    chol = scipy.linalg.cholesky(p.Q, lower=True)
-
-    def q_inv(v: np.ndarray) -> np.ndarray:
-        w = scipy.linalg.solve_triangular(chol, v, lower=True)
-        return scipy.linalg.solve_triangular(chol, w, lower=True, trans="T")
-
-    def phi(y: np.ndarray) -> float:
-        w = y + mu
-        return float(w @ q_inv(w))
-
-    # curvature of phi is 2 Q^{-1}; the power estimate is a lower bound, so
-    # take 10% slack and guard against residual overshoot below
-    v = np.full(p.dim, 1.0 / math.sqrt(p.dim))
-    lam = 1.0
-    for _ in range(20):
-        w = q_inv(v)
-        lam = float(np.linalg.norm(w))
-        if lam <= 0.0:
-            break
-        v = w / lam
-    step = 1.0 / (2.2 * max(lam, 1e-300))
-
-    y = np.maximum(-mu, 0.0)
-    fy = phi(y)
-    converged = False
-    for _ in range(max_iter):
-        grad = 2.0 * q_inv(y + mu)
-        while True:
-            y_next = np.maximum(y - step * grad, 0.0)
-            f_next = phi(y_next)
-            if f_next <= fy + 1e-12 * (1.0 + abs(fy)) or step < 1e-30:
-                break
-            step *= 0.5
-        move = float(np.linalg.norm(y_next - y))
-        y, fy = y_next, f_next
-        if move <= tol * step:
-            converged = True
-            break
-
+    _, fy, g = _origin_nnls(p.Q, mu)
     if fy <= hp0 * hp0 + 1e-10:
-        return OriginCheck(True, inner_value=fy, converged=converged)
-    if not converged:
-        log.warning(
-            "origin check inner solve did not converge (value %.6g vs threshold %.6g); "
-            "conservatively treating the origin as non-optimal",
-            fy,
-            hp0 * hp0,
-        )
-    cert = np.maximum(q_inv(y + mu), 0.0)
-    if float(cert.max()) <= 0.0:
-        cert = None
-    return OriginCheck(False, inner_value=fy, certificate=cert, converged=converged)
+        return OriginCheck(True, inner_value=fy)
+    return OriginCheck(False, inner_value=fy, certificate=np.maximum(g, 0.0))
+
+
+def _origin_nnls(Q: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Minimizer y of (y+mu)'Q^{-1}(y+mu) over y >= 0, its value and Q^{-1}(y+mu).
+
+    Solved as min_{y>=0} ||L^{-1}(y + mu)|| with Q = LL'; the value is
+    recomputed from the residual through the Cholesky factor.
+    """
+    chol = scipy.linalg.cholesky(Q, lower=True)
+    l_inv = scipy.linalg.solve_triangular(chol, np.eye(mu.size), lower=True)
+    y, _ = scipy.optimize.nnls(l_inv, -(l_inv @ mu))
+    r = l_inv @ (y + mu)
+    return y, float(r @ r), l_inv.T @ r
 
 
 @dataclass

@@ -430,6 +430,13 @@ class SimplexProblem:
         return np.asarray(self.h.eval(np.sqrt(q))) - self.mu - self.t_off
 
 
+def _unit(dim: int, i: int) -> np.ndarray:
+    """Unit vertex e_i of the capped simplex in ``dim`` coordinates."""
+    e = np.zeros(dim)
+    e[i] = 1.0
+    return e
+
+
 def simplex_transform(sub: FixedSubproblem, h: RiskWeighting) -> SimplexProblem:
     """Rescale a node's free variables onto the capped unit simplex."""
     if sub.dim == 0:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from conftest import interior_quad_problem, origin_grid_verdict, random_spd
 from meanrisk.fw import (
@@ -16,6 +17,7 @@ from meanrisk.fw import (
     RelaxationStatus,
     StepKind,
     _direction_fast,
+    _origin_nnls,
     away_step,
     choose_direction,
     line_search,
@@ -23,13 +25,16 @@ from meanrisk.fw import (
     solve_relaxation,
     toward_step,
 )
+from meanrisk.instances import generate_instance
 from meanrisk.model import (
     ExpThresholdRisk,
+    FixedSubproblem,
     LinearRisk,
     QuadraticRisk,
     SimplexProblem,
     eval_f,
     grad_f,
+    simplex_transform,
 )
 from meanrisk.projection import project_capped_simplex
 
@@ -419,6 +424,43 @@ def test_origin_check_agrees_with_dense_grid():
             random_spd(rng, 3, 1.0), rng.uniform(0.5, 1.5, 3), LinearRisk(omega)
         )
         assert origin_optimality_check(p).origin_optimal == origin_grid_verdict(p)
+
+
+def _spd_with_condition(rng, dim, cond):
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return (u * np.logspace(0.0, -math.log10(cond), dim)) @ u.T
+
+
+@pytest.mark.parametrize("dim", [30, 100])
+def test_origin_nnls_point_satisfies_kkt(dim):
+    rng = np.random.default_rng(dim)
+    for cond in (1e1, 1e3, 1e6):
+        Q = _spd_with_condition(rng, dim, cond)
+        mu = rng.standard_normal(dim)
+        y, value, g = _origin_nnls(Q, mu)
+        scale = float(np.max(np.abs(g)))
+        tol = 1e-11 * max(scale, 1.0)
+        assert np.all(y >= 0.0)
+        assert np.all(g >= -tol)
+        assert abs(float(y @ g)) <= tol * max(1.0, float(np.max(y)))
+        # independent reference: bounded-variable least squares on L^{-1}
+        l_inv = np.linalg.inv(np.linalg.cholesky(Q))
+        ref = lsq_linear(l_inv, -(l_inv @ mu), bounds=(0.0, np.inf), method="bvls", tol=1e-14)
+        r = l_inv @ (ref.x + mu)
+        assert value == pytest.approx(float(r @ r), rel=1e-9)
+
+
+def test_origin_check_exact_on_ill_conditioned_root():
+    # cond(Q) ~ 1.1e6 at the root: the exact inner value is 0.0778501, above
+    # the threshold h'(0)^2 = 1/19
+    inst = generate_instance(100, seed=7, budget_multiplier=0.02)
+    p = simplex_transform(FixedSubproblem.root(inst), LinearRisk.from_confidence(0.95))
+    res = origin_optimality_check(p)
+    assert not res.origin_optimal
+    assert res.converged
+    assert res.inner_value < 0.077851
+    ray = res.certificate / res.certificate.sum()
+    assert eval_f(p, ray) < eval_f(p, np.zeros(p.dim))
 
 
 # ------------------------------------------------------------- full solves
