@@ -150,7 +150,9 @@ def _run_cell(task) -> dict:
             )
         h = risk_from_dict(cell.risk)
         cfg = bnb.BnbConfig(
-            fw=bnb.fw.FwConfig(p_nm=0 if cell.monotone else 1, gap_tol=cell.tol, drift_window=200),
+            fw=dataclasses.replace(
+                bnb.BnbConfig().fw, p_nm=0 if cell.monotone else 1, gap_tol=cell.tol
+            ),
             warmstart=bnb.WarmstartRule(cell.warmstart),
             time_limit=cell.time_limit,
             abs_tol=cell.tol,

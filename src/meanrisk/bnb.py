@@ -127,19 +127,27 @@ class SolveReport:
         }
 
 
+def _pessimistic_values(M: np.ndarray, r: np.ndarray, h: RiskWeighting) -> np.ndarray:
+    """Per-item objective under a pessimistic risk estimate.
+
+    Each item is charged phi of its own variance plus twice every covariance,
+    clamped at zero, minus its return.
+    """
+    risk_est = np.maximum(np.diag(M) + 2.0 * (M.sum(axis=1) - np.diag(M)), 0.0)
+    return h.phi(risk_est) - r
+
+
 def greedy_upper_bound(inst: MeanRiskInstance, h: RiskWeighting) -> Incumbent:
     """Initial feasible point from profit-ratio greedy filling.
 
-    Each item is charged a pessimistic risk estimate (its own variance plus
-    twice every covariance, clamped at zero) minus its return, per unit of
-    price. Items are taken in non-decreasing ratio order while profitable:
-    integer items by whole copies, continuous ones fractionally; the scan
-    stops when the leftover budget is below every remaining price. Falls back
-    to the empty portfolio when that scores better.
+    Each item is charged its pessimistic value (``_pessimistic_values``) per
+    unit of price. Items are taken in non-decreasing ratio order while
+    profitable: integer items by whole copies, continuous ones fractionally;
+    the scan stops when the leftover budget is below every remaining price.
+    Falls back to the empty portfolio when that scores better.
     """
-    M, r, a = inst.M, inst.r, inst.a
-    risk_est = np.maximum(np.diag(M) + 2.0 * (M.sum(axis=1) - np.diag(M)), 0.0)
-    ratio = (np.asarray(h.eval(np.sqrt(risk_est))) - r) / a
+    a = inst.a
+    ratio = _pessimistic_values(inst.M, inst.r, h) / a
     order = np.argsort(ratio, kind="stable")
     min_price_left = np.minimum.accumulate(a[order][::-1])[::-1]
     integer = frozenset(inst.integer_set)
@@ -160,7 +168,7 @@ def greedy_upper_bound(inst: MeanRiskInstance, h: RiskWeighting) -> Incumbent:
             y[i] = remaining / a[i]
             remaining = 0.0
     value = objective_min(inst, y, h)
-    zero_value = float(h.eval(0.0))
+    zero_value = h.phi(0.0)
     if value > zero_value:
         return Incumbent(np.zeros(inst.n), zero_value, "heuristic")
     return Incumbent(y, value, "heuristic")
@@ -245,13 +253,6 @@ class ChildValues:
             self._hi = self.upper + 1
 
 
-def _greedy_vertex(sub: FixedSubproblem, h: RiskWeighting) -> int:
-    """Free position minimizing the single-vertex pessimistic objective."""
-    M, r = sub.M_s, sub.r_s
-    risk_est = np.maximum(np.diag(M) + 2.0 * (M.sum(axis=1) - np.diag(M)), 0.0)
-    return int(np.argmin(np.asarray(h.eval(np.sqrt(risk_est))) - r))
-
-
 def warmstart_point(
     sub: FixedSubproblem,
     p: SimplexProblem,
@@ -282,7 +283,7 @@ def warmstart_point(
     if rule in (WarmstartRule.E1, WarmstartRule.X_OR_E1):
         return _unit(p.dim, 0)
     if rule in (WarmstartRule.EHAT, WarmstartRule.X_OR_EHAT):
-        return _unit(p.dim, _greedy_vertex(sub, h))
+        return _unit(p.dim, int(np.argmin(_pessimistic_values(sub.M_s, sub.r_s, h))))
     if x_tilde is None:
         return _unit(p.dim, 0)
     return project_capped_simplex(x_tilde)

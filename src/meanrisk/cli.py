@@ -13,6 +13,7 @@ disabled when stderr is not a terminal or NO_COLOR is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import logging
@@ -111,16 +112,21 @@ def _add_risk_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", type=float, help="threshold for exp risk")
 
 
-def _cmd_solve(args) -> int:
-    inst = _read_instance(args.instance)
-    h = _risk_from_args(args)
-    cfg = bnb.BnbConfig(
-        fw=bnb.fw.FwConfig(p_nm=0 if args.monotone else 1, gap_tol=args.tol, drift_window=200),
+def _solve_config(args) -> bnb.BnbConfig:
+    return bnb.BnbConfig(
+        fw=dataclasses.replace(
+            bnb.BnbConfig().fw, p_nm=0 if args.monotone else 1, gap_tol=args.tol
+        ),
         warmstart=bnb.WarmstartRule(args.warmstart),
         time_limit=args.time_limit,
         abs_tol=args.tol,
     )
-    report = bnb.solve(inst, h, cfg)
+
+
+def _cmd_solve(args) -> int:
+    inst = _read_instance(args.instance)
+    h = _risk_from_args(args)
+    report = bnb.solve(inst, h, _solve_config(args))
     doc = report.to_dict()
     doc.update(
         instance=inst.name,

@@ -1,11 +1,13 @@
 """Away-step conditional-gradient solver with a non-monotone Armijo line search.
 
-Minimizes f(z) = h(sqrt(z'Qz + c'z + d)) - mu'z - t_off over the capped unit
-simplex. Each iteration picks the better of a toward step (best vertex for the
-linearized objective, including the origin) and an away step (move mass off
-the worst active vertex), then backtracks a stepsize accepted against the
-maximum of the last few objective values rather than the current one, which
-lets the iterate climb briefly out of bad corners.
+Minimizes f(z) = phi(z'Qz + c'z + d) - mu'z - t_off over the capped unit
+simplex, where phi(q) = h(sqrt(q)) is the node's risk weighting; the solver
+touches the weighting only through ``phi`` and ``dphi``. Each iteration picks
+the better of a toward step (best vertex for the linearized objective,
+including the origin) and an away step (move mass off the worst active
+vertex), then backtracks a stepsize accepted against the maximum of the last
+few objective values rather than the current one, which lets the iterate
+climb briefly out of bad corners.
 
 Trial objective values inside the line search cost O(1) thanks to incremental
 caches of z'Qz, c'z, mu'z and sum(z); accepting a step costs O(dim) to update
@@ -34,10 +36,7 @@ __all__ = [
     "RelaxationStatus",
     "LineSearchStall",
     "IterateState",
-    "Direction",
-    "toward_step",
-    "away_step",
-    "choose_direction",
+    "select_direction",
     "line_search",
     "OriginCheck",
     "origin_optimality_check",
@@ -57,7 +56,6 @@ _STALL_PATIENCE = 50
 _DRIFT_MIN_SHRINK = 0.15
 _LS_SCALAR_HEAD = 2
 _LS_CHUNK = 32
-_Q_FLOOR = 1e-300
 
 
 class LineSearchStall(RuntimeError):
@@ -151,8 +149,7 @@ class IterateState:
         return cls(p, np.asarray(z0, dtype=float), p_nm)
 
     def _objective(self, zQz: float, cz: float, muz: float) -> float:
-        q = max(zQz + cz + self.p.d, 0.0)
-        return self.p.h.eval_scalar(math.sqrt(q)) - muz - self.p.t_off
+        return self.p.h.phi(max(zQz + cz + self.p.d, 0.0)) - muz - self.p.t_off
 
     @property
     def q(self) -> float:
@@ -162,17 +159,14 @@ class IterateState:
         return max(self.f_hist)
 
     def gradient(self) -> np.ndarray:
-        q = self.zQz + self.cz + self.p.d
-        if q < _Q_FLOOR:
-            raise GradientUndefined("iterate reached the non-smooth origin")
-        root = math.sqrt(q)
-        hp = self.p.h.deriv_scalar(root)
-        return hp / (2.0 * root) * (2.0 * self.Qz + self.p.c) - self.p.mu
+        """dphi(q) (2Qz + c) - mu; GradientUndefined where dphi is infinite."""
+        return self.p.h.dphi(self.q) * (2.0 * self.Qz + self.p.c) - self.p.mu
 
-    def _advanced(self, vertex: int | None, tau: float):
+    def _advanced(self, vertex: int | None, tau: float | np.ndarray):
         """Scalar caches after z -> (1 - tau) z + tau v, state untouched.
 
         vertex None means v = 0 (the origin); away steps use tau = -alpha.
+        Elementwise in tau, so an array of stepsizes gives arrays of caches.
         """
         w = 1.0 - tau
         if vertex is None:
@@ -227,74 +221,21 @@ class IterateState:
         }
 
 
-@dataclass
-class Direction:
-    kind: StepKind
-    vertex: int | None
-    d: np.ndarray
-    g_dot_d: float
-    alpha_max: float
-    gap_ts: float  # toward-step linearized gap, <= 0 at any feasible point
+def select_direction(st: IterateState, g: np.ndarray, beta: float):
+    """Toward or away step at the iterate, for the gradient g.
 
+    Toward candidates are the origin (score 0) and the unit vertices (score
+    g_i); ties prefer the origin, then the lowest index. Away candidates are
+    the origin (active when sum(z) > 0) and the unit vertices in the support
+    of z that score g_i >= 0; ties prefer the lowest index, the origin last.
+    The away step wins iff it linearizes at least as well and its
+    feasibility cap exceeds ``beta``.
 
-def toward_step(p: SimplexProblem, st: IterateState, g: np.ndarray):
-    """Best simplex vertex for the linearized objective.
-
-    Candidates are the origin (score 0) and the unit vertices (score g_i);
-    ties prefer the origin, then the lowest index. Returns (vertex, d, gap)
-    with d = v - z and gap = g'd.
-    """
-    i = int(np.argmin(g))
-    if g[i] >= 0.0:
-        vertex, score = None, 0.0
-    else:
-        vertex, score = i, float(g[i])
-    d = -st.z.copy()
-    if vertex is not None:
-        d[vertex] += 1.0
-    gap = score - float(g @ st.z)
-    return vertex, d, gap
-
-
-def away_step(p: SimplexProblem, st: IterateState, g: np.ndarray):
-    """Worst active vertex to move mass away from, with its feasibility cap.
-
-    Candidates are the origin (active when sum(z) < 1) and the unit vertices
-    in the support of z; ties prefer the lowest index, the origin last.
-    Returns (vertex, d, alpha_max, g_dot_d) with d = z - v.
-    """
-    support = st.z > 0.0
-    vertex, score = None, 0.0
-    if support.any():
-        i = int(np.argmax(np.where(support, g, -np.inf)))
-        if g[i] >= 0.0:
-            vertex, score = i, float(g[i])
-    if vertex is None:
-        alpha = (1.0 - st.sum_z) / st.sum_z if st.sum_z > 0.0 else ALPHA_CAP
-    else:
-        zi = float(st.z[vertex])
-        alpha = zi / (1.0 - zi) if zi < 1.0 else ALPHA_CAP
-    d = st.z.copy()
-    if vertex is not None:
-        d[vertex] -= 1.0
-    return vertex, d, min(alpha, ALPHA_CAP), float(g @ st.z) - score
-
-
-def choose_direction(p: SimplexProblem, st: IterateState, g: np.ndarray, cfg: FwConfig) -> Direction:
-    """Away step iff it linearizes at least as well and its cap exceeds beta."""
-    v_ts, d_ts, gap_ts = toward_step(p, st, g)
-    v_as, d_as, alpha_as, g_as = away_step(p, st, g)
-    if g_as <= gap_ts and alpha_as > cfg.beta:
-        return Direction(StepKind.AWAY, v_as, d_as, g_as, alpha_as, gap_ts)
-    return Direction(StepKind.TOWARD, v_ts, d_ts, gap_ts, 1.0, gap_ts)
-
-
-def _direction_fast(st: IterateState, g: np.ndarray, beta: float):
-    """choose_direction on scalars only, for the solver's inner loop.
-
-    Skips building the d vectors: both step kinds have d in {v - z, z - v},
-    so ||d||^2 = ||z||^2 - 2 z_v + 1 (or ||z||^2 against the origin). Returns
-    (kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq).
+    Works on scalars only, without building d: the toward step has
+    d = v - z with stepsize cap 1, the away step d = z - v, so
+    ||d||^2 = ||z||^2 - 2 z_v + 1 (or ||z||^2 against the origin). Returns
+    (kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq), with gap_ts the
+    toward-step gap, <= 0 at any feasible point.
     """
     z = st.z
     gz = float(g @ z)
@@ -353,28 +294,14 @@ def line_search(
         alpha *= cfg.delta
     # slow-path searches halve many times; evaluate whole chunks of the
     # stepsize sequence vectorized instead of one scalar trial per step
-    p_, j0 = st.p, _LS_SCALAR_HEAD
+    j0 = _LS_SCALAR_HEAD
     while j0 <= MAX_HALVINGS:
         m = min(_LS_CHUNK, MAX_HALVINGS + 1 - j0)
         factors = np.full(m, cfg.delta)
         factors[0] = 1.0
         alphas = alpha * np.cumprod(factors)
-        tau = sign * alphas
-        w = 1.0 - tau
-        if vertex is None:
-            zQz = w * w * st.zQz
-            cz = w * st.cz
-            muz = w * st.muz
-        else:
-            zQz = (
-                w * w * st.zQz
-                + 2.0 * tau * w * float(st.Qz[vertex])
-                + tau * tau * float(p_.Q[vertex, vertex])
-            )
-            cz = w * st.cz + tau * float(p_.c[vertex])
-            muz = w * st.muz + tau * float(p_.mu[vertex])
-        q = np.maximum(zQz + cz + p_.d, 0.0)
-        f_trial = np.asarray(p_.h.eval(np.sqrt(q))) - muz - p_.t_off
+        zQz, cz, muz, _ = st._advanced(vertex, sign * alphas)
+        f_trial = p.h.phi(np.maximum(zQz + cz + p.d, 0.0)) - muz - p.t_off
         rhs = f_bar + cfg.gamma1 * alphas * g_dot_d - cfg.gamma2 * alphas * alphas * d_sq
         hits = np.flatnonzero(f_trial <= rhs)
         if hits.size:
@@ -421,7 +348,7 @@ def origin_optimality_check(p: SimplexProblem) -> OriginCheck:
     if p.d != 0.0 or np.any(p.c != 0.0):
         raise ValueError("origin check applies only to nodes with d = 0 and c = 0")
     mu = p.mu
-    hp0 = p.h.deriv_scalar(0.0)
+    hp0 = p.h.origin_slope
     if hp0 <= 0.0:
         if np.all(mu <= 0.0):
             return OriginCheck(True)
@@ -542,7 +469,7 @@ def solve_relaxation(
         if not math.isfinite(float(g.sum())):
             log.warning("non-finite gradient; node keeps its last valid bound")
             break
-        kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = _direction_fast(st, g, cfg.beta)
+        kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, cfg.beta)
         dual = max(dual, st.f_cur + gap_ts)
         if diag is not None:
             diag.f.append(st.f_cur)

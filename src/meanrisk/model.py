@@ -6,6 +6,12 @@ An instance asks to maximize ``r'y - h(sqrt(y' M y))`` over the knapsack
 weighting. All solving happens in minimization form (risk minus return);
 results are negated back on report.
 
+The weighting enters everywhere only through phi(q) = h(sqrt(q)) of a
+quadratic form q >= 0, its derivative dphi(q) and the slope h'(0) (see
+``RiskWeighting``). dphi is finite at q = 0 for the quadratic and
+thresholded weightings, so only the linear one leaves the objective
+non-differentiable where q vanishes.
+
 Fixing integer variables moves covariance coefficients into linear and
 constant terms under the square root, and rescaling the free variables by
 ``b/a_i`` turns every node relaxation into the same shape of problem over the
@@ -21,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BudgetExhausted",
-    "DimensionZero",
     "GradientUndefined",
     "InfeasibleFixing",
     "RiskWeighting",
@@ -48,39 +52,31 @@ class InfeasibleFixing(ValueError):
     """Requested integer fixing does not fit into the remaining budget."""
 
 
-class BudgetExhausted(Exception):
-    """The remaining budget is zero; every free variable is forced to 0."""
-
-
-class DimensionZero(Exception):
-    """No free variables remain; the node is a fully determined point."""
-
-
 class GradientUndefined(ArithmeticError):
-    """Gradient requested where the square-root term vanishes."""
+    """Gradient requested where the risk term's slope is infinite."""
 
 
 class RiskWeighting:
-    """Convex, non-decreasing, differentiable weight on the risk magnitude.
+    """Convex, non-decreasing weight h on the risk magnitude t = sqrt(q).
 
-    ``eval`` and ``deriv`` accept scalars or arrays and return the same shape.
+    The solver sees h only through phi(q) = h(sqrt(q)) on the quadratic form
+    q >= 0:
+
+    - ``phi(q)`` accepts a float or an ndarray and returns the same shape;
+    - ``dphi(q)`` is the float derivative h'(sqrt q) / (2 sqrt q), extended
+      to q = 0 by its limit, and raises ``GradientUndefined`` only where
+      that limit is infinite;
+    - ``origin_slope`` is h'(0), which decides the origin optimality screen.
     """
 
     kind = "base"
+    origin_slope = 0.0
 
-    def eval(self, t):
+    def phi(self, q):
         raise NotImplementedError
 
-    def deriv(self, t):
+    def dphi(self, q: float) -> float:
         raise NotImplementedError
-
-    # scalar fast paths for the solver's inner loops, where ufunc dispatch on
-    # 0-d inputs would dominate the iteration cost
-    def eval_scalar(self, t: float) -> float:
-        return float(self.eval(t))
-
-    def deriv_scalar(self, t: float) -> float:
-        return float(self.deriv(t))
 
     def params(self) -> dict:
         raise NotImplementedError
@@ -95,13 +91,16 @@ class LinearRisk(RiskWeighting):
 
     ``from_confidence`` derives omega = sqrt((1 - epsilon) / epsilon) from a
     confidence level epsilon in (0, 1]; larger epsilon means less weight on
-    risk.
+    risk. The only weighting with h'(0) > 0, so the only one whose
+    objective is not differentiable where q vanishes.
     """
 
     omega: float
     epsilon: float | None = None
 
     kind = "linear"
+    # below this q the slope omega / (2 sqrt(q)) of phi counts as infinite
+    _Q_FLOOR = 1e-300
 
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega >= 0.0):
@@ -113,19 +112,19 @@ class LinearRisk(RiskWeighting):
             raise ValueError("confidence level must lie in (0, 1]")
         return cls(math.sqrt((1.0 - epsilon) / epsilon), float(epsilon))
 
-    def eval(self, t):
-        return self.omega * t
-
-    def deriv(self, t):
-        if np.isscalar(t):
-            return self.omega
-        return np.full(np.shape(t), self.omega)
-
-    def eval_scalar(self, t: float) -> float:
-        return self.omega * t
-
-    def deriv_scalar(self, t: float) -> float:
+    @property
+    def origin_slope(self) -> float:
         return self.omega
+
+    def phi(self, q):
+        # math.sqrt on floats: ufunc dispatch on 0-d inputs would dominate
+        # the cost of the solver's inner loops
+        return self.omega * (np.sqrt(q) if isinstance(q, np.ndarray) else math.sqrt(q))
+
+    def dphi(self, q: float) -> float:
+        if q < self._Q_FLOOR:
+            raise GradientUndefined("square-root term vanishes at this point")
+        return self.omega / (2.0 * math.sqrt(q))
 
     def params(self):
         out = {"omega": self.omega}
@@ -136,7 +135,7 @@ class LinearRisk(RiskWeighting):
 
 @dataclass(frozen=True)
 class QuadraticRisk(RiskWeighting):
-    """h(t) = omega * t**2; smooth everywhere, zero slope at t = 0."""
+    """h(t) = omega * t**2, so phi(q) = omega * q: smooth everywhere."""
 
     omega: float
 
@@ -146,17 +145,11 @@ class QuadraticRisk(RiskWeighting):
         if not (math.isfinite(self.omega) and self.omega >= 0.0):
             raise ValueError("omega must be finite and nonnegative")
 
-    def eval(self, t):
-        return self.omega * t * t
+    def phi(self, q):
+        return self.omega * q
 
-    def deriv(self, t):
-        return 2.0 * self.omega * t
-
-    def eval_scalar(self, t: float) -> float:
-        return self.omega * t * t
-
-    def deriv_scalar(self, t: float) -> float:
-        return 2.0 * self.omega * t
+    def dphi(self, q: float) -> float:
+        return self.omega
 
     def params(self):
         return {"omega": self.omega}
@@ -168,7 +161,8 @@ class ExpThresholdRisk(RiskWeighting):
 
     Value and slope are both continuous at the threshold. For large t the
     value overflows float64 to +inf; downstream code treats that as an
-    ordinary (terrible) objective value.
+    ordinary (terrible) objective value. At gamma = 0, dphi(0) is the limit
+    h''(0) / 2 = 1/2 of expm1(t) / (2t).
     """
 
     gamma: float
@@ -179,20 +173,12 @@ class ExpThresholdRisk(RiskWeighting):
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError("gamma must be finite and nonnegative")
 
-    def eval(self, t):
-        u = np.asarray(t, dtype=float) - self.gamma
-        with np.errstate(over="ignore"):
-            out = np.where(u > 0.0, np.exp(u) - (u + 1.0), 0.0)
-        return float(out) if np.isscalar(t) else out
-
-    def deriv(self, t):
-        u = np.asarray(t, dtype=float) - self.gamma
-        with np.errstate(over="ignore"):
-            out = np.where(u > 0.0, np.expm1(u), 0.0)
-        return float(out) if np.isscalar(t) else out
-
-    def eval_scalar(self, t: float) -> float:
-        u = t - self.gamma
+    def phi(self, q):
+        if isinstance(q, np.ndarray):
+            u = np.sqrt(q) - self.gamma
+            with np.errstate(over="ignore"):
+                return np.where(u > 0.0, np.exp(u) - (u + 1.0), 0.0)
+        u = math.sqrt(q) - self.gamma
         if u <= 0.0:
             return 0.0
         try:
@@ -200,12 +186,15 @@ class ExpThresholdRisk(RiskWeighting):
         except OverflowError:
             return math.inf
 
-    def deriv_scalar(self, t: float) -> float:
+    def dphi(self, q: float) -> float:
+        t = math.sqrt(q)
         u = t - self.gamma
         if u <= 0.0:
-            return 0.0
+            # h' vanishes up to the threshold; at gamma = 0 that leaves only
+            # t = 0, where dphi takes its limit 1/2
+            return 0.5 if self.gamma == 0.0 else 0.0
         try:
-            return math.expm1(u)
+            return math.expm1(u) / (2.0 * t)
         except OverflowError:
             return math.inf
 
@@ -288,10 +277,9 @@ class MeanRiskInstance:
 
 
 def objective_min(inst: MeanRiskInstance, y, h: RiskWeighting) -> float:
-    """Minimization-form objective h(sqrt(y'My)) - r'y at a full-length y."""
+    """Minimization-form objective phi(y'My) - r'y at a full-length y."""
     y = np.asarray(y, dtype=float)
-    q = max(float(y @ inst.M @ y), 0.0)
-    return h.eval_scalar(math.sqrt(q)) - float(inst.r @ y)
+    return h.phi(max(float(y @ inst.M @ y), 0.0)) - float(inst.r @ y)
 
 
 def objective_max(inst: MeanRiskInstance, y, h: RiskWeighting) -> float:
@@ -351,7 +339,7 @@ class FixedSubproblem:
         """Minimization objective at a free-variable completion x."""
         x = np.asarray(x, dtype=float)
         q = float(x @ self.M_s @ x + self.c_s @ x) + self.d_s
-        return h.eval_scalar(math.sqrt(max(q, 0.0))) - float(self.r_s @ x) - self.t_s
+        return h.phi(max(q, 0.0)) - float(self.r_s @ x) - self.t_s
 
     def assemble(self, x) -> np.ndarray:
         """Full original-units vector from the fixings plus a completion x."""
@@ -395,7 +383,7 @@ def fix_variable(sub: FixedSubproblem, j: int, s: int) -> FixedSubproblem:
 class SimplexProblem:
     """Node relaxation over the capped unit simplex {z : sum(z) <= 1, z >= 0}.
 
-    Objective: f(z) = h(sqrt(z'Qz + c'z + d)) - mu'z - t_off. ``scale`` maps
+    Objective: f(z) = phi(z'Qz + c'z + d) - mu'z - t_off. ``scale`` maps
     simplex coordinates back to original units, y_free = scale * z.
     """
 
@@ -427,7 +415,7 @@ class SimplexProblem:
     def vertex_values(self) -> np.ndarray:
         """Objective value at each unit vertex e_i."""
         q = np.maximum(np.diag(self.Q) + self.c + self.d, 0.0)
-        return np.asarray(self.h.eval(np.sqrt(q))) - self.mu - self.t_off
+        return self.h.phi(q) - self.mu - self.t_off
 
 
 def _unit(dim: int, i: int) -> np.ndarray:
@@ -438,11 +426,13 @@ def _unit(dim: int, i: int) -> np.ndarray:
 
 
 def simplex_transform(sub: FixedSubproblem, h: RiskWeighting) -> SimplexProblem:
-    """Rescale a node's free variables onto the capped unit simplex."""
-    if sub.dim == 0:
-        raise DimensionZero("all variables are fixed")
-    if sub.b_s <= 0.0:
-        raise BudgetExhausted("no budget remains for the free variables")
+    """Rescale a node's free variables onto the capped unit simplex.
+
+    Needs at least one free variable and a positive remaining budget; a node
+    without either is a fully determined point and has no relaxation.
+    """
+    if sub.dim == 0 or sub.b_s <= 0.0:
+        raise ValueError("node has no free variable or no remaining budget")
     scale = sub.b_s / sub.a_s
     return SimplexProblem(
         Q=sub.M_s * np.outer(scale, scale),
@@ -456,22 +446,19 @@ def simplex_transform(sub: FixedSubproblem, h: RiskWeighting) -> SimplexProblem:
 
 
 def eval_f(p: SimplexProblem, z) -> float:
-    """f(z) = h(sqrt(z'Qz + c'z + d)) - mu'z - t_off, defined for all z."""
+    """f(z) = phi(z'Qz + c'z + d) - mu'z - t_off, defined for all z."""
     z = np.asarray(z, dtype=float)
     q = max(float(z @ p.Q @ z + p.c @ z) + p.d, 0.0)
-    return p.h.eval_scalar(math.sqrt(q)) - float(p.mu @ z) - p.t_off
+    return p.h.phi(q) - float(p.mu @ z) - p.t_off
 
 
 def grad_f(p: SimplexProblem, z) -> np.ndarray:
-    """Gradient of f; raises GradientUndefined where the root term vanishes.
+    """Gradient dphi(q) (2Qz + c) - mu of f.
 
-    Callers must route z = 0 on a d = 0 node through the origin optimality
-    check instead.
+    Raises GradientUndefined where the weighting's slope is infinite: the
+    linear weighting where the root term vanishes. Callers must route z = 0
+    on such a d = 0 node through the origin optimality check instead.
     """
     z = np.asarray(z, dtype=float)
-    q = float(z @ p.Q @ z + p.c @ z) + p.d
-    if q < 1e-300:
-        raise GradientUndefined("square-root term vanishes at this point")
-    root = math.sqrt(q)
-    hp = p.h.deriv_scalar(root)
-    return hp / (2.0 * root) * (2.0 * (p.Q @ z) + p.c) - p.mu
+    q = max(float(z @ p.Q @ z + p.c @ z) + p.d, 0.0)
+    return p.h.dphi(q) * (2.0 * (p.Q @ z) + p.c) - p.mu

@@ -16,7 +16,13 @@ import math
 
 import numpy as np
 
-from .model import MeanRiskInstance, QuadraticRisk, RiskWeighting, objective_min
+from .model import (
+    GradientUndefined,
+    MeanRiskInstance,
+    QuadraticRisk,
+    RiskWeighting,
+    objective_min,
+)
 from .projection import project_capped_simplex
 
 __all__ = [
@@ -125,10 +131,11 @@ def continuous_min_pgd(
     def gradient(z):
         y[cont_idx] = scale * z
         My = inst.M @ y
-        t = math.sqrt(max(float(y @ My), 0.0))
-        if t < 1e-150:
+        try:
+            slope = h.dphi(max(float(y @ My), 0.0))
+        except GradientUndefined:
             return None
-        gy = float(h.deriv(t)) / t * My - inst.r
+        gy = 2.0 * slope * My - inst.r
         return gy[cont_idx] * scale
 
     dim = len(cont_idx)

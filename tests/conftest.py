@@ -162,5 +162,5 @@ def origin_grid_verdict(p, steps=200):
         pts.append(block)
     z = np.vstack(pts) / steps
     q = np.maximum(np.einsum("ij,jk,ik->i", z, p.Q, z) + z @ p.c + p.d, 0.0)
-    f = np.asarray(p.h.eval(np.sqrt(q))) - z @ p.mu - p.t_off
+    f = p.h.phi(q) - z @ p.mu - p.t_off
     return eval_f(p, np.zeros(3)) <= float(f.min()) + 1e-12

@@ -6,7 +6,8 @@ import logging
 
 import pytest
 
-from meanrisk.cli import _Formatter, _setup_logging, main
+from meanrisk.bnb import BnbConfig
+from meanrisk.cli import _Formatter, _setup_logging, _solve_config, build_parser, main
 from meanrisk.instances import dumps_instance, generate_instance
 
 
@@ -20,6 +21,11 @@ def _generate(tmp_path, name, **kwargs):
 
 
 # ---------------------------------------------------------------- pipeline
+
+
+def test_solve_default_flags_give_the_default_config():
+    args = build_parser().parse_args(["solve", "--risk", "quad"])
+    assert _solve_config(args) == BnbConfig(time_limit=3600.0)
 
 
 def test_generate_solve_oracle_pipeline(tmp_path):

@@ -16,14 +16,11 @@ from meanrisk.fw import (
     RelaxationResult,
     RelaxationStatus,
     StepKind,
-    _direction_fast,
     _origin_nnls,
-    away_step,
-    choose_direction,
     line_search,
     origin_optimality_check,
+    select_direction,
     solve_relaxation,
-    toward_step,
 )
 from meanrisk.instances import generate_instance
 from meanrisk.model import (
@@ -115,27 +112,76 @@ def test_state_rejects_wrong_dimension():
 # ------------------------------------------------------------ directions
 
 
+def _step_vector(z, kind, vertex):
+    """d = v - z for a toward step, d = z - v for an away step."""
+    v = np.zeros_like(z)
+    if vertex is not None:
+        v[vertex] = 1.0
+    return v - z if kind is StepKind.TOWARD else z - v
+
+
+def _reference_direction(z, g, beta):
+    """Toward/away selection spelled out on the explicit d vectors.
+
+    Toward candidates: the origin (score 0) and every unit vertex (score
+    g_i), ties to the origin, then the lowest index. Away candidates: the
+    origin when z != 0 and every support vertex with g_i >= 0, ties to the
+    lowest index, the origin last.
+    """
+    i = int(np.argmin(g))
+    v_ts = i if g[i] < 0.0 else None
+    d_ts = _step_vector(z, StepKind.TOWARD, v_ts)
+    gap_ts = float(g @ d_ts)
+    support = z > 0.0
+    v_as = None
+    if support.any():
+        i = int(np.argmax(np.where(support, g, -np.inf)))
+        if g[i] >= 0.0:
+            v_as = i
+    sum_z = float(z.sum())
+    if v_as is None:
+        alpha_as = (1.0 - sum_z) / sum_z if sum_z > 0.0 else ALPHA_CAP
+    else:
+        alpha_as = z[v_as] / (1.0 - z[v_as]) if z[v_as] < 1.0 else ALPHA_CAP
+    alpha_as = min(alpha_as, ALPHA_CAP)
+    d_as = _step_vector(z, StepKind.AWAY, v_as)
+    if float(g @ d_as) <= gap_ts and alpha_as > beta:
+        return StepKind.AWAY, v_as, d_as, alpha_as, gap_ts
+    return StepKind.TOWARD, v_ts, d_ts, 1.0, gap_ts
+
+
+def _toward_only(st, g):
+    # an infinite beta blocks every away step, exposing the toward choice
+    return select_direction(st, g, math.inf)
+
+
 def test_toward_step_picks_most_negative_gradient_vertex():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.1, 0.2, 0.3])
     g = np.array([1.0, -2.0, 3.0])
-    vertex, d, gap = toward_step(p, st, g)
+    kind, vertex, g_dot_d, alpha_max, gap, d_sq = _toward_only(st, g)
+    assert kind is StepKind.TOWARD
     assert vertex == 1
+    assert alpha_max == 1.0
     e1 = np.array([0.0, 1.0, 0.0])
-    np.testing.assert_allclose(d, e1 - st.z, rtol=0, atol=0)
+    assert d_sq == pytest.approx(float((e1 - st.z) @ (e1 - st.z)), rel=1e-15)
     assert gap == pytest.approx(-2.0 - float(g @ st.z), abs=1e-15)
+    assert g_dot_d == gap
+    # the away candidate (vertex 2) linearizes worse, so beta changes nothing
+    assert select_direction(st, g, FwConfig().beta)[:2] == (StepKind.TOWARD, 1)
 
 
 def test_toward_step_returns_origin_when_gradient_nonnegative():
     p = _problem(np.eye(2), np.zeros(2), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.3, 0.4])
     g = np.array([1.0, 2.0])
-    vertex, d, gap = toward_step(p, st, g)
+    kind, vertex, _, _, gap, d_sq = _toward_only(st, g)
+    assert kind is StepKind.TOWARD
     assert vertex is None
-    np.testing.assert_array_equal(d, -st.z)
+    assert d_sq == pytest.approx(float(st.z @ st.z), rel=1e-15)
     assert gap == pytest.approx(-float(g @ st.z), abs=1e-15)
     # a zero gradient entry ties with the origin; the origin wins
-    vertex, _, _ = toward_step(p, st, np.array([0.0, 3.0]))
+    _, vertex, _, _, _, _ = _toward_only(st, np.array([0.0, 3.0]))
     assert vertex is None
 
 
@@ -143,27 +189,35 @@ def test_away_step_cap_for_unit_vertex():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.3, 0.2, 0.0])
     g = np.array([5.0, 1.0, 0.0])
-    vertex, d, alpha_max, g_dot_d = away_step(p, st, g)
+    kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, g, FwConfig().beta)
+    assert kind is StepKind.AWAY
     assert vertex == 0
     assert alpha_max == pytest.approx(0.3 / 0.7, rel=1e-15)
-    np.testing.assert_allclose(d, st.z - np.array([1.0, 0.0, 0.0]), atol=0)
+    d = st.z - np.array([1.0, 0.0, 0.0])
+    assert d_sq == pytest.approx(float(d @ d), rel=1e-15)
     assert g_dot_d == pytest.approx(float(g @ st.z) - 5.0, abs=1e-15)
 
 
 def test_away_step_cap_for_origin():
     p = _problem(np.eye(2), np.zeros(2), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.25, 0.25])
-    # gradient negative on the whole support, so the origin is the away vertex
-    vertex, d, alpha_max, _ = away_step(p, st, np.array([-1.0, -2.0]))
+    # gradient negative on the whole support, so the origin is the away
+    # vertex; equal entries make the away step tie the toward step
+    g = np.array([-1.0, -1.0])
+    kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, g, FwConfig().beta)
+    assert kind is StepKind.AWAY
     assert vertex is None
     assert alpha_max == pytest.approx(1.0, rel=1e-15)
-    np.testing.assert_array_equal(d, st.z)
+    assert d_sq == float(st.z @ st.z)
+    assert g_dot_d == float(g @ st.z)
 
 
 def test_away_step_cap_saturates_at_sentinel():
     p = _problem(np.eye(2), np.zeros(2), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [1.0, 0.0])
-    vertex, _, alpha_max, _ = away_step(p, st, np.array([1.0, 0.0]))
+    # a zero slope on the full vertex ties the away step with the toward step
+    kind, vertex, _, alpha_max, _, _ = select_direction(st, np.array([0.0, 1.0]), FwConfig().beta)
+    assert kind is StepKind.AWAY
     assert vertex == 0
     assert alpha_max == ALPHA_CAP
 
@@ -172,43 +226,48 @@ def test_away_step_ignores_zero_coordinates():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.5, 0.3, 0.0])
     rng = np.random.default_rng(7)
+    aways = 0
     for _ in range(1000):
-        vertex, _, _, _ = away_step(p, st, rng.standard_normal(3))
-        assert vertex != 2
+        kind, vertex, _, _, _, _ = select_direction(st, rng.standard_normal(3), 0.0)
+        if kind is StepKind.AWAY:
+            aways += 1
+            assert vertex != 2
+    assert aways > 0
 
 
 def test_choose_direction_prefers_better_linearized_away():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.2, 0.3, 0.0])
     g = np.array([-1.0, 5.0, -1.2])
-    dr = choose_direction(p, st, g, FwConfig())
-    assert dr.kind is StepKind.AWAY
-    assert dr.vertex == 1
-    assert dr.g_dot_d == pytest.approx(-3.7, rel=1e-15)
-    assert dr.alpha_max == pytest.approx(0.3 / 0.7, rel=1e-15)
-    assert dr.gap_ts == pytest.approx(-2.5, rel=1e-15)
-    np.testing.assert_allclose(dr.d, st.z - np.array([0.0, 1.0, 0.0]), atol=0)
+    kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, FwConfig().beta)
+    assert kind is StepKind.AWAY
+    assert vertex == 1
+    assert g_dot_d == pytest.approx(-3.7, rel=1e-15)
+    assert alpha_max == pytest.approx(0.3 / 0.7, rel=1e-15)
+    assert gap_ts == pytest.approx(-2.5, rel=1e-15)
+    d = st.z - np.array([0.0, 1.0, 0.0])
+    assert d_sq == pytest.approx(float(d @ d), rel=1e-15)
 
 
 def test_choose_direction_keeps_toward_when_away_is_worse():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.2, 0.3, 0.0])
     g = np.array([-1.0, 2.0, -5.0])
-    dr = choose_direction(p, st, g, FwConfig())
-    assert dr.kind is StepKind.TOWARD
-    assert dr.vertex == 2
-    assert dr.alpha_max == 1.0
-    assert dr.g_dot_d == pytest.approx(-5.4, rel=1e-15)
-    assert dr.g_dot_d == pytest.approx(dr.gap_ts, abs=0)
+    kind, vertex, g_dot_d, alpha_max, gap_ts, _ = select_direction(st, g, FwConfig().beta)
+    assert kind is StepKind.TOWARD
+    assert vertex == 2
+    assert alpha_max == 1.0
+    assert g_dot_d == pytest.approx(-5.4, rel=1e-15)
+    assert g_dot_d == pytest.approx(gap_ts, abs=0)
 
 
 def test_choose_direction_blocks_tiny_away_caps():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.2, 1e-9, 0.0])
     # the away step linearizes better but its cap 1e-9/(1-1e-9) is below beta
-    dr = choose_direction(p, st, np.array([-1.0, 5.0, 0.0]), FwConfig())
-    assert dr.kind is StepKind.TOWARD
-    assert dr.vertex == 0
+    kind, vertex, _, _, _, _ = select_direction(st, np.array([-1.0, 5.0, 0.0]), FwConfig().beta)
+    assert kind is StepKind.TOWARD
+    assert vertex == 0
 
 
 def test_fast_direction_matches_reference():
@@ -224,14 +283,14 @@ def test_fast_direction_matches_reference():
         g = rng.standard_normal(dim)
         if trial % 7 == 0:
             g = np.abs(g)
-        ref = choose_direction(p, st, g, cfg)
-        kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = _direction_fast(st, g, cfg.beta)
-        assert kind is ref.kind
-        assert vertex == ref.vertex
-        assert g_dot_d == pytest.approx(ref.g_dot_d, rel=1e-12, abs=1e-12)
-        assert alpha_max == pytest.approx(ref.alpha_max, rel=1e-12)
-        assert gap_ts == pytest.approx(ref.gap_ts, rel=1e-12, abs=1e-12)
-        assert d_sq == pytest.approx(float(ref.d @ ref.d), rel=1e-9, abs=1e-12)
+        ref_kind, ref_vertex, ref_d, ref_alpha, ref_gap = _reference_direction(st.z, g, cfg.beta)
+        kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, cfg.beta)
+        assert kind is ref_kind
+        assert vertex == ref_vertex
+        assert g_dot_d == pytest.approx(float(g @ ref_d), rel=1e-12, abs=1e-12)
+        assert alpha_max == pytest.approx(ref_alpha, rel=1e-12)
+        assert gap_ts == pytest.approx(ref_gap, rel=1e-12, abs=1e-12)
+        assert d_sq == pytest.approx(float(ref_d @ ref_d), rel=1e-9, abs=1e-12)
 
 
 # ------------------------------------------------------------ line search
@@ -293,18 +352,19 @@ def test_line_search_accepted_steps_hold_on_reevaluation():
         p = _random_problem(rng, dim, _RISKS[trial % 3])
         cfg = FwConfig(p_nm=trial % 2)
         st = IterateState.from_point(p, _random_point(rng, dim), p_nm=cfg.p_nm)
-        dr = choose_direction(p, st, st.gradient(), cfg)
-        if dr.g_dot_d >= 0.0:
+        g = st.gradient()
+        kind, vertex, g_dot_d, alpha_max, _, _ = select_direction(st, g, cfg.beta)
+        if g_dot_d >= 0.0:
             continue
         f_bar = st.f_bar()
-        d_sq = float(dr.d @ dr.d)
-        alpha, halvings = line_search(
-            p, st, dr.vertex, dr.kind, dr.g_dot_d, d_sq, dr.alpha_max, cfg
-        )
-        assert 0.0 < alpha <= dr.alpha_max
+        d = _step_vector(st.z, kind, vertex)
+        assert g_dot_d == pytest.approx(float(g @ d), rel=1e-12, abs=1e-12)
+        d_sq = float(d @ d)
+        alpha, halvings = line_search(p, st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg)
+        assert 0.0 < alpha <= alpha_max
         assert halvings >= 0
-        f_scratch = eval_f(p, st.z + alpha * dr.d)
-        rhs = f_bar + cfg.gamma1 * alpha * dr.g_dot_d - cfg.gamma2 * alpha * alpha * d_sq
+        f_scratch = eval_f(p, st.z + alpha * d)
+        rhs = f_bar + cfg.gamma1 * alpha * g_dot_d - cfg.gamma2 * alpha * alpha * d_sq
         assert f_scratch <= rhs + 1e-9 * (1.0 + abs(f_bar))
 
 
@@ -512,7 +572,7 @@ def _pgd_min(p, z0, max_iter=1_000_000):
     linear weighting on problems with d > 0.
     """
     lam_max = float(np.linalg.eigvalsh(p.Q)[-1])
-    step = 0.9 * math.sqrt(p.d) / (p.h.deriv_scalar(1.0) * lam_max)
+    step = 0.9 * math.sqrt(p.d) / (p.h.omega * lam_max)
     z = np.asarray(z0, dtype=float)
     for _ in range(max_iter):
         z_new = project_capped_simplex(z - step * grad_f(p, z))
@@ -521,6 +581,22 @@ def _pgd_min(p, z0, max_iter=1_000_000):
             break
         z = z_new
     return eval_f(p, z), z
+
+
+@pytest.mark.parametrize("h", [QuadraticRisk(1.0), ExpThresholdRisk(0.0)])
+def test_solve_relaxation_passes_through_origin_for_smooth_weightings(h):
+    # phi is smooth at q = 0 for these weightings, so an iterate that
+    # reaches z = 0 on this d = 0 root keeps its gradient and moves on
+    # instead of stopping with a loose bracket
+    inst = generate_instance(50, 0.5, 1.0, seed=7)
+    p = simplex_transform(FixedSubproblem.root(inst), h)
+    assert not origin_optimality_check(p).origin_optimal
+    e1 = np.zeros(p.dim)
+    e1[0] = 1.0
+    res = solve_relaxation(p, e1, cfg=FwConfig(max_iter=4000))
+    assert res.iters == 4000
+    assert res.f_star < eval_f(p, np.zeros(p.dim))
+    assert res.f_star - res.dual_bound < 1.0
 
 
 def test_solve_relaxation_rejects_origin_start_when_root_term_vanishes():

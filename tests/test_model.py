@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meanrisk.model import (
-    BudgetExhausted,
-    DimensionZero,
     ExpThresholdRisk,
     FixedSubproblem,
     GradientUndefined,
@@ -22,14 +24,20 @@ from meanrisk.model import (
 )
 
 
+def _slope(h, t):
+    """h'(t) recovered from dphi: h'(t) = 2 t dphi(t^2)."""
+    return 2.0 * t * h.dphi(t * t)
+
+
 def test_linear_risk_values():
     h = LinearRisk(2.0)
-    assert h.eval(3.0) == 6.0
-    assert h.deriv(3.0) == 2.0
-    assert h.eval_scalar(3.0) == 6.0
-    assert h.deriv_scalar(0.0) == 2.0
-    np.testing.assert_allclose(h.eval(np.array([0.0, 1.0])), [0.0, 2.0])
-    np.testing.assert_allclose(h.deriv(np.array([0.0, 1.0])), [2.0, 2.0])
+    assert h.phi(9.0) == 6.0
+    assert _slope(h, 3.0) == 2.0
+    assert h.origin_slope == 2.0
+    np.testing.assert_allclose(h.phi(np.array([0.0, 1.0])), [0.0, 2.0])
+    assert _slope(h, 1.0) == 2.0
+    with pytest.raises(GradientUndefined):
+        h.dphi(0.0)
 
 
 def test_linear_risk_from_confidence():
@@ -46,31 +54,82 @@ def test_linear_risk_from_confidence():
 
 def test_quadratic_risk_values():
     h = QuadraticRisk(1.5)
-    assert h.eval(2.0) == 6.0
-    assert h.deriv(2.0) == 6.0
-    assert h.deriv_scalar(0.0) == 0.0
-    np.testing.assert_allclose(h.eval(np.array([1.0, 2.0])), [1.5, 6.0])
+    assert h.phi(4.0) == 6.0
+    assert _slope(h, 2.0) == 6.0
+    assert h.origin_slope == 0.0
+    assert h.dphi(0.0) == 1.5
+    np.testing.assert_allclose(h.phi(np.array([1.0, 4.0])), [1.5, 6.0])
 
 
 def test_exp_threshold_risk_values():
     h = ExpThresholdRisk(1.0)
-    assert h.eval(0.5) == 0.0
-    assert h.deriv(1.0) == 0.0
+    assert h.phi(0.25) == 0.0
+    assert h.dphi(1.0) == 0.0
+    assert h.origin_slope == 0.0
     # value and slope continuous at the threshold
-    assert h.eval(1.0 + 1e-9) == pytest.approx(0.0, abs=1e-15)
-    assert h.deriv(1.0 + 1e-9) == pytest.approx(0.0, abs=1e-8)
+    t = 1.0 + 1e-9
+    assert h.phi(t * t) == pytest.approx(0.0, abs=1e-15)
+    assert _slope(h, t) == pytest.approx(0.0, abs=1e-8)
     t = 2.5
-    assert h.eval(t) == pytest.approx(np.exp(1.5) - 2.5)
-    assert h.deriv(t) == pytest.approx(np.expm1(1.5))
-    assert h.eval_scalar(t) == pytest.approx(h.eval(t))
-    assert h.deriv_scalar(t) == pytest.approx(h.deriv(t))
+    assert h.phi(t * t) == pytest.approx(np.exp(1.5) - 2.5)
+    assert _slope(h, t) == pytest.approx(np.expm1(1.5))
+    assert h.phi(np.array([t * t]))[0] == pytest.approx(h.phi(t * t))
 
 
 def test_exp_threshold_overflow_is_inf():
     h = ExpThresholdRisk(0.0)
-    assert h.eval_scalar(1e4) == np.inf
-    assert h.deriv_scalar(1e4) == np.inf
-    assert np.isinf(h.eval(np.array([1e4]))).all()
+    assert h.phi(1e8) == np.inf
+    assert h.dphi(1e8) == np.inf
+    assert np.isinf(h.phi(np.array([1e8]))).all()
+
+
+_weightings = st.one_of(
+    st.floats(0.0, 10.0).map(LinearRisk),
+    st.floats(0.0, 10.0).map(QuadraticRisk),
+    st.floats(0.0, 5.0).map(ExpThresholdRisk),
+)
+
+
+@given(h=_weightings, q=st.floats(1e-2, 50.0))
+def test_dphi_matches_central_differences(h, q):
+    step = 1e-6 * q
+    fd = (h.phi(q + step) - h.phi(q - step)) / (2.0 * step)
+    assert h.dphi(q) == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+@given(h=_weightings, qs=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8))
+def test_array_phi_matches_scalar_phi(h, qs):
+    out = h.phi(np.array(qs))
+    assert out.shape == (len(qs),)
+    np.testing.assert_allclose(out, [h.phi(q) for q in qs], rtol=1e-14, atol=0.0)
+
+
+@given(
+    h=st.one_of(
+        st.floats(0.0, 10.0).map(QuadraticRisk),
+        st.sampled_from([0.0, 0.5, 2.0]).map(ExpThresholdRisk),
+    ),
+    frac=st.floats(0.0, 1.0),
+)
+def test_dphi_continuous_at_zero_for_smooth_weightings(h, frac):
+    # for gamma > 0 dphi vanishes on [0, gamma^2); probe well inside
+    q = frac * (1e-12 if getattr(h, "gamma", 0.0) == 0.0 else 0.25 * h.gamma**2)
+    assert math.isfinite(h.dphi(0.0))
+    assert h.dphi(q) == pytest.approx(h.dphi(0.0), abs=1e-6)
+
+
+def test_exp_dphi_at_zero_is_the_limit_one_half():
+    h = ExpThresholdRisk(0.0)
+    assert h.dphi(0.0) == 0.5
+    assert h.dphi(1e-20) == pytest.approx(0.5, rel=1e-9)
+    assert ExpThresholdRisk(1.0).dphi(0.0) == 0.0
+
+
+def test_linear_dphi_at_zero_is_undefined():
+    with pytest.raises(GradientUndefined):
+        LinearRisk(1.0).dphi(0.0)
+    with pytest.raises(GradientUndefined):
+        LinearRisk.from_confidence(0.95).dphi(1e-301)
 
 
 def test_risk_param_validation():
@@ -247,11 +306,11 @@ def test_simplex_transform_exhausted_nodes():
     inst = MeanRiskInstance(r=[1.0, 1.0], a=[1.0, 1.0], b=2.0, M=np.eye(2))
     sub = fix_variable(fix_variable(FixedSubproblem.root(inst), 0, 1), 0, 1)
     assert sub.dim == 0
-    with pytest.raises(DimensionZero):
+    with pytest.raises(ValueError):
         simplex_transform(sub, LinearRisk(1.0))
     spent = fix_variable(FixedSubproblem.root(inst), 0, 2)
     assert spent.b_s == 0.0
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(ValueError):
         simplex_transform(spent, LinearRisk(1.0))
 
 
@@ -313,6 +372,11 @@ def test_grad_undefined_at_origin_without_constant():
     # a positive constant under the root keeps the gradient defined
     p2 = _simplex_problem(np.eye(2), [1.0, 1.0], LinearRisk(1.0), d=0.5)
     assert np.all(np.isfinite(grad_f(p2, np.zeros(2))))
+    # weightings with a finite dphi at q = 0 are smooth there: with c = 0 the
+    # risk term's gradient vanishes and only the return remains
+    for h in (QuadraticRisk(1.0), ExpThresholdRisk(0.0), ExpThresholdRisk(1.0)):
+        p3 = _simplex_problem(np.eye(2), [1.0, 2.0], h)
+        np.testing.assert_array_equal(grad_f(p3, np.zeros(2)), [-1.0, -2.0])
 
 
 def test_vertex_values():
