@@ -7,7 +7,8 @@ run. Wall time is measured around the solve only, excluding parsing.
 
 Records CSV columns: instance, config, risk, risk_params, budget_mult,
 warmstart, monotone, status, wall_time, nodes, fw_iters, objective_max,
-return_term, nnz, max_entry (blank numerics on failed cells).
+return_term, nnz, max_entry, uncertified_leaves (blank numerics on failed
+cells).
 Profile CSV columns: solver_config, tau, fraction_solved.
 """
 
@@ -51,6 +52,7 @@ RECORD_FIELDS = [
     "return_term",
     "nnz",
     "max_entry",
+    "uncertified_leaves",
 ]
 
 PROFILE_FIELDS = ["solver_config", "tau", "fraction_solved"]
@@ -135,6 +137,7 @@ def _run_cell(task) -> dict:
         "return_term": "",
         "nnz": "",
         "max_entry": "",
+        "uncertified_leaves": "",
     }
     try:
         inst = load_instance(path)
@@ -167,6 +170,7 @@ def _run_cell(task) -> dict:
             return_term=report.return_term,
             nnz=report.nnz,
             max_entry=report.max_entry,
+            uncertified_leaves=report.uncertified_leaves,
         )
     except Exception as exc:  # cell failures must not abort the run
         if not record["instance"]:

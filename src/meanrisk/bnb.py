@@ -101,7 +101,12 @@ class Incumbent:
 
 @dataclass
 class SolveReport:
-    """Final answer in maximization form plus solve statistics."""
+    """Final answer in maximization form plus solve statistics.
+
+    ``uncertified_leaves`` counts continuous leaves whose relaxation ended
+    without an optimality certificate and were re-polished; when it is
+    nonzero the reported optimum may be conservative.
+    """
 
     status: SolveStatus
     objective_max: float
@@ -112,6 +117,7 @@ class SolveReport:
     return_term: float
     nnz: int
     max_entry: float
+    uncertified_leaves: int
 
     def to_dict(self) -> dict:
         return {
@@ -124,6 +130,7 @@ class SolveReport:
             "return_term": self.return_term,
             "nnz": self.nnz,
             "max_entry": self.max_entry,
+            "uncertified_leaves": self.uncertified_leaves,
         }
 
 
@@ -506,12 +513,6 @@ def solve(
     except _TimeLimit:
         status = SolveStatus.TIME_LIMIT
 
-    if uncertified:
-        log.warning(
-            "%d continuous leaf relaxation(s) ended without an optimality "
-            "certificate; the global result may be conservative",
-            uncertified,
-        )
     y = inc.y
     return SolveReport(
         status=status,
@@ -523,4 +524,5 @@ def solve(
         return_term=float(inst.r @ y),
         nnz=int(np.sum(np.abs(y) > 1e-9)),
         max_entry=float(np.max(y)) if y.size else 0.0,
+        uncertified_leaves=uncertified,
     )

@@ -138,6 +138,12 @@ def _cmd_solve(args) -> int:
         time_limit=args.time_limit,
     )
     _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    if report.uncertified_leaves:
+        log.warning(
+            "%d continuous leaf relaxation(s) ended without an optimality "
+            "certificate; the global result may be conservative",
+            report.uncertified_leaves,
+        )
     if report.status is bnb.SolveStatus.TIME_LIMIT:
         log.warning("time limit reached; reporting the best solution found")
         return 2

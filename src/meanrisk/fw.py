@@ -5,13 +5,16 @@ simplex, where phi(q) = h(sqrt(q)) is the node's risk weighting; the solver
 touches the weighting only through ``phi`` and ``dphi``. Each iteration picks
 the better of a toward step (best vertex for the linearized objective,
 including the origin) and an away step (move mass off the worst active
-vertex), then backtracks a stepsize accepted against the maximum of the last
-few objective values rather than the current one, which lets the iterate
-climb briefly out of bad corners.
+vertex), then takes the first stepsize alpha_max * delta^j that passes an
+Armijo test against the maximum of the last few objective values rather than
+the current one, which lets the iterate climb briefly out of bad corners.
 
-Trial objective values inside the line search cost O(1) thanks to incremental
-caches of z'Qz, c'z, mu'z and sum(z); accepting a step costs O(dim) to update
-z and the cached matrix-vector product Q z.
+Because f is convex along the step, the passing stepsizes form an interval,
+so the line search predicts j from a quadratic model and confirms it with
+about two trials instead of scanning j = 0, 1, ... Trial objective values
+cost O(1) thanks to incremental caches of z'Qz, c'z, mu'z and sum(z);
+accepting a step costs O(dim) to update z and the cached matrix-vector
+product Q z.
 """
 
 from __future__ import annotations
@@ -54,12 +57,10 @@ MAX_HALVINGS = 200
 _STALL_ALPHA = 1e-10
 _STALL_PATIENCE = 50
 _DRIFT_MIN_SHRINK = 0.15
-_LS_SCALAR_HEAD = 2
-_LS_CHUNK = 32
 
 
 class LineSearchStall(RuntimeError):
-    """Backtracking exhausted its halving budget; numerics have broken down."""
+    """No stepsize alpha_max * delta^j with j <= MAX_HALVINGS passes the test."""
 
 
 class StepKind(Enum):
@@ -162,11 +163,10 @@ class IterateState:
         """dphi(q) (2Qz + c) - mu; GradientUndefined where dphi is infinite."""
         return self.p.h.dphi(self.q) * (2.0 * self.Qz + self.p.c) - self.p.mu
 
-    def _advanced(self, vertex: int | None, tau: float | np.ndarray):
+    def _advanced(self, vertex: int | None, tau: float):
         """Scalar caches after z -> (1 - tau) z + tau v, state untouched.
 
         vertex None means v = 0 (the origin); away steps use tau = -alpha.
-        Elementwise in tau, so an array of stepsizes gives arrays of caches.
         """
         w = 1.0 - tau
         if vertex is None:
@@ -280,36 +280,78 @@ def line_search(
     """First stepsize in alpha_max * delta^j passing the non-monotone test.
 
     Acceptance: f(z + alpha d) <= max(recent f) + gamma1 alpha g'd
-    - gamma2 alpha^2 ||d||^2. Trial values come from the O(1) cache updates;
-    non-finite trials fail the comparison and keep halving. Returns
-    (alpha, halvings).
+    - gamma2 alpha^2 ||d||^2. Along d, f is convex (h convex and
+    non-decreasing of a norm of an affine map) and the right-hand side is
+    concave in alpha; both agree at alpha = 0 up to f(z) <= max(recent f). So
+    the accepted stepsizes form an interval [0, alpha_bar], and the first
+    accepted j of the scan j = 0, 1, ... is the smallest j with
+    alpha_max delta^j <= alpha_bar.
+
+    Rather than scan, j is predicted from the acceptance boundary of the
+    quadratic model f + a g'd + a^2 dphi(q) d'Qd (exact for the quadratic
+    weighting) and then confirmed with O(1) trials: from a passing guess,
+    move to larger steps while they pass; from a failing one, to smaller
+    steps until one does. Non-finite trials fail. Returns (alpha, j): in
+    exact arithmetic the step and index the scan finds, and in floating point
+    the same unless rounding breaks the interval (a pass at a larger step
+    separated from j by failures). Raises ``LineSearchStall`` when no
+    j <= MAX_HALVINGS passes.
     """
     f_bar = st.f_bar()
     sign = 1.0 if kind is StepKind.TOWARD else -1.0
-    alpha = alpha_max
-    for halvings in range(_LS_SCALAR_HEAD):
+    delta, gamma1, gamma2 = cfg.delta, cfg.gamma1, cfg.gamma2
+
+    def passes(j: int) -> bool:
+        alpha = alpha_max * delta**j
         f_trial = st.trial_objective(vertex, sign * alpha)
-        if f_trial <= f_bar + cfg.gamma1 * alpha * g_dot_d - cfg.gamma2 * alpha * alpha * d_sq:
-            return alpha, halvings
-        alpha *= cfg.delta
-    # slow-path searches halve many times; evaluate whole chunks of the
-    # stepsize sequence vectorized instead of one scalar trial per step
-    j0 = _LS_SCALAR_HEAD
-    while j0 <= MAX_HALVINGS:
-        m = min(_LS_CHUNK, MAX_HALVINGS + 1 - j0)
-        factors = np.full(m, cfg.delta)
-        factors[0] = 1.0
-        alphas = alpha * np.cumprod(factors)
-        zQz, cz, muz, _ = st._advanced(vertex, sign * alphas)
-        f_trial = p.h.phi(np.maximum(zQz + cz + p.d, 0.0)) - muz - p.t_off
-        rhs = f_bar + cfg.gamma1 * alphas * g_dot_d - cfg.gamma2 * alphas * alphas * d_sq
-        hits = np.flatnonzero(f_trial <= rhs)
-        if hits.size:
-            j = int(hits[0])
-            return float(alphas[j]), j0 + j
-        alpha = float(alphas[-1]) * cfg.delta
-        j0 += m
-    raise LineSearchStall(f"no acceptable stepsize after {MAX_HALVINGS} halvings")
+        return f_trial <= f_bar + gamma1 * alpha * g_dot_d - gamma2 * alpha * alpha * d_sq
+
+    j = _predicted_index(p, st, vertex, g_dot_d, d_sq, f_bar, alpha_max, cfg)
+    if passes(j):
+        while j > 0 and passes(j - 1):
+            j -= 1
+    else:
+        j += 1
+        while j <= MAX_HALVINGS and not passes(j):
+            j += 1
+        if j > MAX_HALVINGS:
+            raise LineSearchStall(f"no acceptable stepsize after {MAX_HALVINGS} halvings")
+    return alpha_max * delta**j, j
+
+
+def _predicted_index(
+    p: SimplexProblem,
+    st: IterateState,
+    vertex: int | None,
+    g_dot_d: float,
+    d_sq: float,
+    f_bar: float,
+    alpha_max: float,
+    cfg: FwConfig,
+) -> int:
+    """Smallest j with alpha_max delta^j inside the quadratic model's accepted interval.
+
+    The model boundary is the positive root of A a^2 + B a - C with
+    A = dphi(q) d'Qd + gamma2 ||d||^2, B = (1 - gamma1) g'd and
+    C = f_bar - f(z); d'Qd comes from the cached z'Qz and Qz. Where the
+    model gives no finite root (no curvature, no descent, infinite dphi) the
+    search starts at j = 0.
+    """
+    if vertex is None:
+        dQd = st.zQz
+    else:
+        dQd = float(p.Q[vertex, vertex]) - 2.0 * float(st.Qz[vertex]) + st.zQz
+    a = p.h.dphi(st.q) * max(dQd, 0.0) + cfg.gamma2 * d_sq
+    b = (1.0 - cfg.gamma1) * g_dot_d
+    c = f_bar - st.f_cur
+    if not (a > 0.0 and b < 0.0):
+        return 0
+    ratio = (math.sqrt(b * b + 4.0 * a * c) - b) / (2.0 * a) / alpha_max
+    if not ratio < 1.0:  # also catches inf and nan
+        return 0
+    if ratio == 0.0:  # underflow: the boundary is below every grid step
+        return MAX_HALVINGS
+    return min(math.ceil(math.log(ratio) / math.log(cfg.delta)), MAX_HALVINGS)
 
 
 @dataclass

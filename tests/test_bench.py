@@ -95,6 +95,15 @@ def test_run_bench_emits_one_sorted_row_per_cell(tmp_path):
         assert rec["wall_time"] >= 0.0
 
 
+def test_run_bench_records_uncertified_leaves(tmp_path):
+    path = tmp_path / "inst.json"
+    inst = generate_instance(20, integer_fraction=0.25, budget_multiplier=0.02, seed=7)
+    save_instance(inst, path)
+    (rec,) = run_bench([path], [CellConfig(risk={"kind": "quad", "omega": 1.0})])
+    assert rec["status"] == "optimal"
+    assert rec["uncertified_leaves"] == 1
+
+
 def test_run_bench_budget_override(tmp_path):
     inst = generate_instance(3, integer_fraction=1.0, seed=2)
     path = tmp_path / "inst.json"

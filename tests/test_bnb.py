@@ -1,11 +1,13 @@
 """Branch and bound: heuristic, branching order, warmstarts, full solves."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
 from conftest import CRITERION_RISKS, interior_quad_problem, small_domain_instance
+from meanrisk import bnb
 from meanrisk.bnb import (
     BnbConfig,
     ChildValues,
@@ -277,6 +279,30 @@ def test_solve_report_dict_round_trips_values():
     assert doc["nodes"] == report.nodes >= 1
     assert doc["return_term"] == pytest.approx(float(inst.r @ report.y), abs=0)
     assert doc["nnz"] == int(np.sum(np.abs(report.y) > 1e-9))
+
+
+def test_solve_counts_polished_leaves_without_logging(monkeypatch, caplog):
+    # on this small-budget quad instance the continuous leaf's relaxation
+    # ends without an optimality certificate and is re-polished
+    polished = 0
+    polish_leaf = bnb._polish_leaf
+
+    def counted(p, z0):
+        nonlocal polished
+        polished += 1
+        return polish_leaf(p, z0)
+
+    monkeypatch.setattr(bnb, "_polish_leaf", counted)
+    with caplog.at_level(logging.WARNING, logger="meanrisk"):
+        report = solve(generate_instance(20, 0.25, 0.02, seed=7), QuadraticRisk(1.0))
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.uncertified_leaves == polished == 1
+    assert report.to_dict()["uncertified_leaves"] == 1
+    assert not caplog.records
+    # every variable integral: no continuous leaf, nothing to certify
+    report = solve(small_domain_instance(1), QuadraticRisk(1.0))
+    assert report.uncertified_leaves == 0
+    assert polished == 1
 
 
 def test_solve_warmstart_rules_agree():

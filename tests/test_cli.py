@@ -73,6 +73,14 @@ def test_generate_solve_oracle_pipeline(tmp_path):
     assert report["objective_max"] == pytest.approx(oracle["objective_max"], abs=1e-6 * scale)
 
 
+def test_solve_warns_once_about_uncertified_leaves(tmp_path, capsys):
+    inst_path = _generate(tmp_path, "inst", n=20, seed=7, int_frac=0.25, budget_mult=0.02)
+    assert main(["solve", "--instance", str(inst_path), "--risk", "quad"]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["uncertified_leaves"] == 1
+    assert out.err.count("WARNING 1 continuous leaf relaxation(s) ended without") == 1
+
+
 def test_solve_reads_instance_from_stdin(tmp_path, monkeypatch, capsys):
     inst = generate_instance(4, integer_fraction=1.0, budget_multiplier=0.02, seed=5)
     monkeypatch.setattr("sys.stdin", io.StringIO(dumps_instance(inst, seed=5)))

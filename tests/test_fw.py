@@ -9,6 +9,7 @@ from scipy.optimize import lsq_linear
 from conftest import interior_quad_problem, origin_grid_verdict, random_spd
 from meanrisk.fw import (
     ALPHA_CAP,
+    MAX_HALVINGS,
     FwConfig,
     IterateState,
     LineSearchStall,
@@ -377,6 +378,71 @@ def test_line_search_stall_raises():
         line_search(
             p, st, 0, StepKind.TOWARD, g_dot_d=-1e308, d_sq=1.0, alpha_max=1.0, cfg=FwConfig()
         )
+
+
+def _scan_line_search(st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg):
+    """The Armijo rule spelled out: try j = 0, 1, ... with scalar trials."""
+    f_bar = st.f_bar()
+    sign = 1.0 if kind is StepKind.TOWARD else -1.0
+    alpha = alpha_max
+    for j in range(MAX_HALVINGS + 1):
+        rhs = f_bar + cfg.gamma1 * alpha * g_dot_d - cfg.gamma2 * alpha * alpha * d_sq
+        if st.trial_objective(vertex, sign * alpha) <= rhs:
+            return alpha, j
+        alpha *= cfg.delta
+    raise LineSearchStall
+
+
+def test_line_search_finds_the_step_the_scan_finds():
+    # the predicted index, once confirmed, must be the scan's first passing
+    # index on every weighting, both step kinds and both memory lengths
+    rng = np.random.default_rng(29)
+    compared = {StepKind.TOWARD: 0, StepKind.AWAY: 0}
+    for trial in range(1000):
+        dim = int(rng.integers(2, 13))
+        p = _random_problem(rng, dim, _RISKS[trial % 3])
+        cfg = FwConfig(p_nm=(trial // 3) % 2)
+        st = IterateState.from_point(p, _random_point(rng, dim), p_nm=cfg.p_nm)
+        # one accepted step first, so that the memory holds a value above f
+        kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, st.gradient(), cfg.beta)
+        if g_dot_d < 0.0:
+            alpha, _ = _scan_line_search(st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg)
+            st.apply_step(vertex, kind, alpha)
+        g = st.gradient()
+        for beta in (cfg.beta, math.inf):
+            kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, g, beta)
+            if g_dot_d >= 0.0:
+                continue
+            expected = _scan_line_search(st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg)
+            assert line_search(p, st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg) == expected
+            compared[kind] += 1
+    assert compared[StepKind.TOWARD] >= 1000
+    assert compared[StepKind.AWAY] >= 100
+
+
+def test_line_search_needs_about_two_trials_on_a_tight_root(monkeypatch):
+    # quad root of a small-budget instance, the shape of the benchmark's
+    # tight workload; a scan from j = 0 makes 9+ trials per search here
+    inst = generate_instance(40, 0.25, 0.02, seed=7)
+    p = simplex_transform(FixedSubproblem.root(inst), QuadraticRisk(1.0))
+    trials = 0
+    trial_objective = IterateState.trial_objective
+
+    def counted(self, vertex, tau):
+        nonlocal trials
+        trials += 1
+        return trial_objective(self, vertex, tau)
+
+    monkeypatch.setattr(IterateState, "trial_objective", counted)
+    e1 = np.zeros(p.dim)
+    e1[0] = 1.0
+    diag = RelaxationDiagnostics()
+    solve_relaxation(p, e1, cfg=FwConfig(max_iter=3000, drift_window=200), diag=diag)
+    searches = len(diag.halvings)
+    assert searches > 100
+    assert trials <= 2.1 * searches
+    # a scan from j = 0 would have tried j + 1 stepsizes per search
+    assert searches + sum(diag.halvings) >= 4 * trials
 
 
 # ------------------------------------------------------------ step updates
