@@ -63,9 +63,9 @@ class CellConfig:
     """One solver configuration cell of a benchmark grid."""
 
     risk: dict
-    warmstart: str = "x-proj"
+    warmstart: str = bnb.BnbConfig.warmstart.value
     monotone: bool = False
-    tol: float = 1e-10
+    tol: float = bnb.BnbConfig.tol
     time_limit: float = 600.0
     budget_multiplier: float | None = None  # overrides b := mult * sum(a)
     name: str = ""
@@ -86,6 +86,15 @@ class CellConfig:
         return ",".join(f"{k}={v:g}" for k, v in sorted(self.risk.items()) if k != "kind")
 
 
+def _grid_cell(i: int, entry) -> CellConfig:
+    if not isinstance(entry, dict) or not isinstance(entry.get("risk"), dict):
+        raise ValueError(f"grid entry {i} must be an object with a 'risk' object")
+    unknown = sorted(set(entry) - {f.name for f in dataclasses.fields(CellConfig)})
+    if unknown:
+        raise ValueError(f"grid entry {i}: unknown key {unknown[0]!r}")
+    return CellConfig(**entry)
+
+
 def load_grid(path) -> list[CellConfig]:
     """Grid JSON: {"configs": [{"risk": {...}, "warmstart": ..., ...}, ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -93,23 +102,16 @@ def load_grid(path) -> list[CellConfig]:
     configs = doc.get("configs")
     if not isinstance(configs, list) or not configs:
         raise ValueError("grid file must contain a nonempty 'configs' array")
-    return [CellConfig(**cell) for cell in configs]
+    return [_grid_cell(i, entry) for i, entry in enumerate(configs)]
 
 
 def epsilon_budget_grid(
-    epsilons=(0.91, 0.95, 0.99),
-    budget_multipliers=(1.0, 10.0, 100.0),
-    warmstart: str = "x-proj",
-    tol: float = 1e-10,
-    time_limit: float = 600.0,
+    epsilons=(0.91, 0.95, 0.99), budget_multipliers=(1.0, 10.0, 100.0)
 ) -> list[CellConfig]:
     """Standard linear-risk sweep: confidence levels crossed with budgets."""
     return [
         CellConfig(
             risk={"kind": "linear", "epsilon": eps},
-            warmstart=warmstart,
-            tol=tol,
-            time_limit=time_limit,
             budget_multiplier=mult,
             name=f"eps{eps:g}-b{mult:g}",
         )
@@ -153,12 +155,10 @@ def _run_cell(task) -> dict:
             )
         h = risk_from_dict(cell.risk)
         cfg = bnb.BnbConfig(
-            fw=dataclasses.replace(
-                bnb.BnbConfig().fw, p_nm=0 if cell.monotone else 1, gap_tol=cell.tol
-            ),
             warmstart=bnb.WarmstartRule(cell.warmstart),
+            monotone=cell.monotone,
+            tol=cell.tol,
             time_limit=cell.time_limit,
-            abs_tol=cell.tol,
         )
         report = bnb.solve(inst, h, cfg)
         record.update(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -42,7 +42,6 @@ __all__ = [
     "SolveStatus",
     "SolveReport",
     "Incumbent",
-    "Node",
     "ChildValues",
     "greedy_upper_bound",
     "select_branching_variable",
@@ -53,6 +52,10 @@ __all__ = [
 log = logging.getLogger("meanrisk.bnb")
 
 _INT_TOL = 1e-9
+# Node relaxations run with the slow-drift exit armed: a node that inches
+# along at O(1/k) still hands back a valid dual bound, and any surviving
+# leaf gets re-polished before its value is trusted.
+_DRIFT_WINDOW = 200
 
 
 class WarmstartRule(Enum):
@@ -70,26 +73,19 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class BnbConfig:
-    # Node relaxations run with the slow-drift exit armed: a node that inches
-    # along at O(1/k) still hands back a valid dual bound, and any surviving
-    # leaf gets re-polished before its value is trusted.
-    fw: fw.FwConfig = fw.FwConfig(drift_window=200)
+    """``monotone`` selects the classical Armijo rule over the non-monotone
+    test; ``tol`` is both the relaxation gap and the pruning margin."""
+
     warmstart: WarmstartRule = WarmstartRule.X_OR_PROJ
+    monotone: bool = False
+    tol: float = 1e-10
     time_limit: float = 3600.0
-    abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.time_limit <= 0.0:
+        if not self.tol > 0.0:  # also rejects nan
+            raise ValueError("tolerance must be positive")
+        if not self.time_limit > 0.0:
             raise ValueError("time limit must be positive")
-        if self.abs_tol < 0.0:
-            raise ValueError("absolute tolerance must be nonnegative")
-
-
-@dataclass
-class Node:
-    sub: FixedSubproblem
-    depth: int
-    parent_solution: np.ndarray | None = None
 
 
 @dataclass
@@ -408,6 +404,9 @@ def solve(
     """
     t_start = time.monotonic()
     deadline = t_start + cfg.time_limit
+    relax_cfg = fw.FwConfig(
+        p_nm=0 if cfg.monotone else 1, gap_tol=cfg.tol, drift_window=_DRIFT_WINDOW
+    )
     integer = frozenset(inst.integer_set)
     inc = greedy_upper_bound(inst, h)
     nodes = 0
@@ -416,7 +415,7 @@ def solve(
     status = SolveStatus.OPTIMAL
 
     def threshold() -> float:
-        return inc.value_min - cfg.abs_tol
+        return inc.value_min - cfg.tol
 
     def consider(y: np.ndarray, source: str) -> None:
         """Adopt a candidate if it beats the incumbent. Candidates must
@@ -461,7 +460,7 @@ def solve(
                 return _Outcome(bound=objective_min(inst, y, h))
 
         z0 = _node_start(p, sub, parent_y, cfg.warmstart, h, origin)
-        res = fw.solve_relaxation(p, z0, prune_threshold=threshold(), cfg=cfg.fw)
+        res = fw.solve_relaxation(p, z0, prune_threshold=threshold(), cfg=relax_cfg)
         fw_iters += res.iters
         if node_audit is not None:
             node_audit(p, res)

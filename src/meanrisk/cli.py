@@ -13,7 +13,6 @@ disabled when stderr is not a terminal or NO_COLOR is set.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import json
 import logging
@@ -114,12 +113,10 @@ def _add_risk_flags(parser: argparse.ArgumentParser) -> None:
 
 def _solve_config(args) -> bnb.BnbConfig:
     return bnb.BnbConfig(
-        fw=dataclasses.replace(
-            bnb.BnbConfig().fw, p_nm=0 if args.monotone else 1, gap_tol=args.tol
-        ),
         warmstart=bnb.WarmstartRule(args.warmstart),
+        monotone=args.monotone,
+        tol=args.tol,
         time_limit=args.time_limit,
-        abs_tol=args.tol,
     )
 
 
@@ -251,17 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    default = bnb.BnbConfig()
     p = sub.add_parser("solve", help="branch-and-bound solve of an instance file")
     p.add_argument("--instance", default="-", help="instance JSON path ('-' = stdin)")
     _add_risk_flags(p)
     p.add_argument(
         "--warmstart",
-        default="x-proj",
+        default=default.warmstart.value,
         choices=[rule.value for rule in bnb.WarmstartRule],
     )
     p.add_argument("--monotone", action="store_true", help="disable non-monotone steps")
-    p.add_argument("--time-limit", type=float, default=3600.0, metavar="S")
-    p.add_argument("--tol", type=float, default=1e-10, help="absolute optimality tolerance")
+    p.add_argument("--time-limit", type=float, default=default.time_limit, metavar="S")
+    p.add_argument("--tol", type=float, default=default.tol, help="absolute optimality tolerance")
     p.add_argument("--out", help="write the report JSON here instead of stdout")
     p.set_defaults(func=_cmd_solve)
 

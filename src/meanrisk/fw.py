@@ -5,7 +5,7 @@ simplex, where phi(q) = h(sqrt(q)) is the node's risk weighting; the solver
 touches the weighting only through ``phi`` and ``dphi``. Each iteration picks
 the better of a toward step (best vertex for the linearized objective,
 including the origin) and an away step (move mass off the worst active
-vertex), then takes the first stepsize alpha_max * delta^j that passes an
+vertex), then takes the first stepsize alpha_max * DELTA^j that passes an
 Armijo test against the maximum of the last few objective values rather than
 the current one, which lets the iterate climb briefly out of bad corners.
 
@@ -34,6 +34,10 @@ from .model import GradientUndefined, SimplexProblem, _unit, eval_f
 __all__ = [
     "ALPHA_CAP",
     "MAX_HALVINGS",
+    "DELTA",
+    "GAMMA1",
+    "GAMMA2",
+    "BETA",
     "FwConfig",
     "StepKind",
     "RelaxationStatus",
@@ -54,13 +58,20 @@ log = logging.getLogger("meanrisk.fw")
 # search shrinks any oversized cap immediately.
 ALPHA_CAP = 1e6
 MAX_HALVINGS = 200
+# The paper's fixed line-search and away-step constants: trial stepsizes
+# alpha_max * DELTA^j; Armijo weights GAMMA1 on g'd and GAMMA2 on ||d||^2;
+# an away step needs a feasibility cap above BETA.
+DELTA = 0.5
+GAMMA1 = 1e-4
+GAMMA2 = 1e-6
+BETA = 1e-6
 _STALL_ALPHA = 1e-10
 _STALL_PATIENCE = 50
 _DRIFT_MIN_SHRINK = 0.15
 
 
 class LineSearchStall(RuntimeError):
-    """No stepsize alpha_max * delta^j with j <= MAX_HALVINGS passes the test."""
+    """No stepsize alpha_max * DELTA^j with j <= MAX_HALVINGS passes the test."""
 
 
 class StepKind(Enum):
@@ -77,12 +88,13 @@ class RelaxationStatus(Enum):
 
 @dataclass(frozen=True)
 class FwConfig:
-    """Tuning constants for the relaxation solver.
+    """Settings of one relaxation solve.
 
     ``p_nm`` is the length of the objective-value memory behind the
     non-monotone acceptance test; 0 recovers the classical monotone Armijo
     rule. ``self_check`` re-verifies every accepted step against a
     from-scratch objective evaluation (slow; meant for audits and tests).
+    The Armijo and away-step constants are module constants, not settings.
 
     ``drift_window`` > 0 arms an early-exit heuristic: if the bracket
     between the best objective seen and the dual bound shrinks by less
@@ -92,27 +104,15 @@ class FwConfig:
     needs the tightest certificate the arithmetic can deliver.
     """
 
-    delta: float = 0.5
-    gamma1: float = 1e-4
-    gamma2: float = 1e-6
     p_nm: int = 1
-    beta: float = 1e-6
     gap_tol: float = 1e-10
     max_iter: int = 50_000
     self_check: bool = False
     drift_window: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.gamma1 < 0.5:
-            raise ValueError("gamma1 must lie in (0, 1/2)")
-        if self.gamma2 < 0.0:
-            raise ValueError("gamma2 must be nonnegative")
         if self.p_nm < 0:
             raise ValueError("p_nm must be nonnegative")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
         if self.gap_tol <= 0.0:
             raise ValueError("gap_tol must be positive")
         if self.max_iter < 1:
@@ -275,17 +275,16 @@ def line_search(
     g_dot_d: float,
     d_sq: float,
     alpha_max: float,
-    cfg: FwConfig,
 ):
-    """First stepsize in alpha_max * delta^j passing the non-monotone test.
+    """First stepsize in alpha_max * DELTA^j passing the non-monotone test.
 
-    Acceptance: f(z + alpha d) <= max(recent f) + gamma1 alpha g'd
-    - gamma2 alpha^2 ||d||^2. Along d, f is convex (h convex and
+    Acceptance: f(z + alpha d) <= max(recent f) + GAMMA1 alpha g'd
+    - GAMMA2 alpha^2 ||d||^2. Along d, f is convex (h convex and
     non-decreasing of a norm of an affine map) and the right-hand side is
     concave in alpha; both agree at alpha = 0 up to f(z) <= max(recent f). So
     the accepted stepsizes form an interval [0, alpha_bar], and the first
     accepted j of the scan j = 0, 1, ... is the smallest j with
-    alpha_max delta^j <= alpha_bar.
+    alpha_max DELTA^j <= alpha_bar.
 
     Rather than scan, j is predicted from the acceptance boundary of the
     quadratic model f + a g'd + a^2 dphi(q) d'Qd (exact for the quadratic
@@ -299,14 +298,13 @@ def line_search(
     """
     f_bar = st.f_bar()
     sign = 1.0 if kind is StepKind.TOWARD else -1.0
-    delta, gamma1, gamma2 = cfg.delta, cfg.gamma1, cfg.gamma2
 
     def passes(j: int) -> bool:
-        alpha = alpha_max * delta**j
+        alpha = alpha_max * DELTA**j
         f_trial = st.trial_objective(vertex, sign * alpha)
-        return f_trial <= f_bar + gamma1 * alpha * g_dot_d - gamma2 * alpha * alpha * d_sq
+        return f_trial <= f_bar + GAMMA1 * alpha * g_dot_d - GAMMA2 * alpha * alpha * d_sq
 
-    j = _predicted_index(p, st, vertex, g_dot_d, d_sq, f_bar, alpha_max, cfg)
+    j = _predicted_index(p, st, vertex, g_dot_d, d_sq, f_bar, alpha_max)
     if passes(j):
         while j > 0 and passes(j - 1):
             j -= 1
@@ -316,7 +314,7 @@ def line_search(
             j += 1
         if j > MAX_HALVINGS:
             raise LineSearchStall(f"no acceptable stepsize after {MAX_HALVINGS} halvings")
-    return alpha_max * delta**j, j
+    return alpha_max * DELTA**j, j
 
 
 def _predicted_index(
@@ -327,12 +325,11 @@ def _predicted_index(
     d_sq: float,
     f_bar: float,
     alpha_max: float,
-    cfg: FwConfig,
 ) -> int:
-    """Smallest j with alpha_max delta^j inside the quadratic model's accepted interval.
+    """Smallest j with alpha_max DELTA^j inside the quadratic model's accepted interval.
 
     The model boundary is the positive root of A a^2 + B a - C with
-    A = dphi(q) d'Qd + gamma2 ||d||^2, B = (1 - gamma1) g'd and
+    A = dphi(q) d'Qd + GAMMA2 ||d||^2, B = (1 - GAMMA1) g'd and
     C = f_bar - f(z); d'Qd comes from the cached z'Qz and Qz. Where the
     model gives no finite root (no curvature, no descent, infinite dphi) the
     search starts at j = 0.
@@ -341,8 +338,8 @@ def _predicted_index(
         dQd = st.zQz
     else:
         dQd = float(p.Q[vertex, vertex]) - 2.0 * float(st.Qz[vertex]) + st.zQz
-    a = p.h.dphi(st.q) * max(dQd, 0.0) + cfg.gamma2 * d_sq
-    b = (1.0 - cfg.gamma1) * g_dot_d
+    a = p.h.dphi(st.q) * max(dQd, 0.0) + GAMMA2 * d_sq
+    b = (1.0 - GAMMA1) * g_dot_d
     c = f_bar - st.f_cur
     if not (a > 0.0 and b < 0.0):
         return 0
@@ -351,7 +348,7 @@ def _predicted_index(
         return 0
     if ratio == 0.0:  # underflow: the boundary is below every grid step
         return MAX_HALVINGS
-    return min(math.ceil(math.log(ratio) / math.log(cfg.delta)), MAX_HALVINGS)
+    return min(math.ceil(math.log(ratio) / math.log(DELTA)), MAX_HALVINGS)
 
 
 @dataclass
@@ -451,12 +448,11 @@ def _verify_step(
     g_dot_d: float,
     alpha: float,
     d_sq: float,
-    cfg: FwConfig,
 ) -> None:
     # the acceptance test ran on O(1) cache arithmetic; re-evaluating from
     # scratch follows a different float path, hence the small slack
     f_scratch = eval_f(p, st.z)
-    rhs = f_bar + cfg.gamma1 * alpha * g_dot_d - cfg.gamma2 * alpha * alpha * d_sq
+    rhs = f_bar + GAMMA1 * alpha * g_dot_d - GAMMA2 * alpha * alpha * d_sq
     slack = 1e-9 * (1.0 + abs(f_bar) + abs(f_scratch))
     if not f_scratch <= rhs + slack:
         raise AssertionError(
@@ -511,7 +507,7 @@ def solve_relaxation(
         if not math.isfinite(float(g.sum())):
             log.warning("non-finite gradient; node keeps its last valid bound")
             break
-        kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, cfg.beta)
+        kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, BETA)
         dual = max(dual, st.f_cur + gap_ts)
         if diag is not None:
             diag.f.append(st.f_cur)
@@ -538,7 +534,7 @@ def solve_relaxation(
             next_check = iters + cfg.drift_window
         f_bar = st.f_bar()
         try:
-            alpha, halvings = line_search(p, st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg)
+            alpha, halvings = line_search(p, st, vertex, kind, g_dot_d, d_sq, alpha_max)
         except LineSearchStall:
             log.warning("line search stalled; node keeps its last valid bound")
             break
@@ -546,7 +542,7 @@ def solve_relaxation(
             diag.halvings.append(halvings)
         st.apply_step(vertex, kind, alpha)
         if cfg.self_check:
-            _verify_step(p, st, f_bar, kind, g_dot_d, alpha, d_sq, cfg)
+            _verify_step(p, st, f_bar, kind, g_dot_d, alpha, d_sq)
         if st.f_cur < f_best - 2.0**-50 * (1.0 + abs(f_best)):
             f_best = st.f_cur
             stalled = 0

@@ -70,6 +70,25 @@ def test_load_grid(tmp_path):
         load_grid(bad)
 
 
+@pytest.mark.parametrize(
+    "entries, match",
+    [
+        (
+            [{"risk": {"kind": "quad"}}, {"risk": {"kind": "quad"}, "warm_start": "e1"}],
+            "entry 1: unknown key 'warm_start'",
+        ),
+        ([{"warmstart": "e1"}], "entry 0 .*'risk'"),
+        ([{"risk": "quad"}], "entry 0 .*'risk'"),
+        ([["quad"]], "entry 0 must be an object"),
+    ],
+)
+def test_load_grid_names_the_malformed_entry(tmp_path, entries, match):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"configs": entries}))
+    with pytest.raises(ValueError, match=match):
+        load_grid(path)
+
+
 # ------------------------------------------------------------------ sweeps
 
 
@@ -93,6 +112,25 @@ def test_run_bench_emits_one_sorted_row_per_cell(tmp_path):
         assert rec["status"] == "optimal"
         assert rec["nodes"] >= 1
         assert rec["wall_time"] >= 0.0
+
+
+def test_run_bench_process_pool_matches_serial(tmp_path):
+    paths = []
+    for seed in (0, 1, 2):
+        path = tmp_path / f"inst{seed}.json"
+        save_instance(generate_instance(4, 0.5, budget_multiplier=0.05, seed=seed), path)
+        paths.append(path)
+    cells = [
+        CellConfig(risk={"kind": "quad", "omega": 1.0}, name="q"),
+        CellConfig(risk={"kind": "linear", "epsilon": 0.95}, monotone=True, name="l"),
+    ]
+
+    def timeless(records):
+        return [{k: v for k, v in rec.items() if k != "wall_time"} for rec in records]
+
+    serial = run_bench(paths, cells)
+    assert [rec["status"] for rec in serial] == ["optimal"] * 6
+    assert timeless(run_bench(paths, cells, jobs=2)) == timeless(serial)
 
 
 def test_run_bench_records_uncertified_leaves(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -319,7 +320,32 @@ def test_solve_warmstart_rules_agree():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BnbConfig(time_limit=0.0)
-    with pytest.raises(ValueError):
-        BnbConfig(abs_tol=-1e-12)
+    for kwargs in ({"time_limit": 0.0}, {"time_limit": math.nan}, {"tol": 0.0}, {"tol": math.nan}):
+        with pytest.raises(ValueError):
+            BnbConfig(**kwargs)
+
+
+def test_config_maps_onto_every_relaxation(monkeypatch):
+    # the drift exit must stay armed: without it a node can run up to
+    # max_iter Frank-Wolfe iterations
+    seen = []
+    solve_relaxation = bnb.fw.solve_relaxation
+
+    def captured(p, z0, prune_threshold=None, cfg=None, **kwargs):
+        res = solve_relaxation(p, z0, prune_threshold=prune_threshold, cfg=cfg, **kwargs)
+        seen.append((cfg, prune_threshold))
+        return res
+
+    monkeypatch.setattr(bnb.fw, "solve_relaxation", captured)
+    inst = small_domain_instance(0)
+    h = QuadraticRisk(1.0)
+    incumbent = greedy_upper_bound(inst, h).value_min
+    for cfg, p_nm, gap_tol in (
+        (BnbConfig(), 1, 1e-10),
+        (BnbConfig(monotone=True, tol=1e-8), 0, 1e-8),
+    ):
+        seen.clear()
+        solve(inst, h, cfg)
+        assert {(c.p_nm, c.gap_tol, c.drift_window) for c, _ in seen} == {(p_nm, gap_tol, 200)}
+        # the root relaxation runs against the greedy incumbent
+        assert seen[0][1] == incumbent - cfg.tol

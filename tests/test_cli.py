@@ -248,6 +248,30 @@ def test_bench_rejects_empty_glob(tmp_path):
     assert rc == 1
 
 
+def test_bench_malformed_grid_is_an_input_error(tmp_path, capsys):
+    _generate(tmp_path, "inst0", n=3, seed=0, int_frac=1.0, budget_mult=0.02)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(
+        json.dumps({"configs": [{"risk": {"kind": "quad", "omega": 1.0}, "warm_start": "e1"}]})
+    )
+    rc = main(
+        [
+            "bench",
+            "--instances",
+            str(tmp_path / "inst*.json"),
+            "--grid",
+            str(grid_path),
+            "--out-records",
+            str(tmp_path / "r.csv"),
+            "--out-profile",
+            str(tmp_path / "p.csv"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["ERROR grid entry 0: unknown key 'warm_start'"]
+
+
 # ----------------------------------------------------------------- logging
 
 

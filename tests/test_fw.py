@@ -9,6 +9,10 @@ from scipy.optimize import lsq_linear
 from conftest import interior_quad_problem, origin_grid_verdict, random_spd
 from meanrisk.fw import (
     ALPHA_CAP,
+    BETA,
+    DELTA,
+    GAMMA1,
+    GAMMA2,
     MAX_HALVINGS,
     FwConfig,
     IterateState,
@@ -72,12 +76,9 @@ _RISKS = (LinearRisk(1.0), QuadraticRisk(1.0), ExpThresholdRisk(1.0))
 
 
 def test_config_defaults():
+    assert (DELTA, GAMMA1, GAMMA2, BETA) == (0.5, 1e-4, 1e-6, 1e-6)
     cfg = FwConfig()
-    assert cfg.delta == 0.5
-    assert cfg.gamma1 == 1e-4
-    assert cfg.gamma2 == 1e-6
     assert cfg.p_nm == 1
-    assert cfg.beta == 1e-6
     assert cfg.gap_tol == 1e-10
     assert cfg.max_iter == 50_000
     assert cfg.self_check is False
@@ -87,13 +88,7 @@ def test_config_defaults():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"delta": 0.0},
-        {"delta": 1.0},
-        {"gamma1": 0.0},
-        {"gamma1": 0.5},
-        {"gamma2": -1e-9},
         {"p_nm": -1},
-        {"beta": 0.0},
         {"gap_tol": 0.0},
         {"max_iter": 0},
         {"drift_window": -1},
@@ -169,7 +164,7 @@ def test_toward_step_picks_most_negative_gradient_vertex():
     assert gap == pytest.approx(-2.0 - float(g @ st.z), abs=1e-15)
     assert g_dot_d == gap
     # the away candidate (vertex 2) linearizes worse, so beta changes nothing
-    assert select_direction(st, g, FwConfig().beta)[:2] == (StepKind.TOWARD, 1)
+    assert select_direction(st, g, BETA)[:2] == (StepKind.TOWARD, 1)
 
 
 def test_toward_step_returns_origin_when_gradient_nonnegative():
@@ -190,7 +185,7 @@ def test_away_step_cap_for_unit_vertex():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.3, 0.2, 0.0])
     g = np.array([5.0, 1.0, 0.0])
-    kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, g, FwConfig().beta)
+    kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, g, BETA)
     assert kind is StepKind.AWAY
     assert vertex == 0
     assert alpha_max == pytest.approx(0.3 / 0.7, rel=1e-15)
@@ -205,7 +200,7 @@ def test_away_step_cap_for_origin():
     # gradient negative on the whole support, so the origin is the away
     # vertex; equal entries make the away step tie the toward step
     g = np.array([-1.0, -1.0])
-    kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, g, FwConfig().beta)
+    kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, g, BETA)
     assert kind is StepKind.AWAY
     assert vertex is None
     assert alpha_max == pytest.approx(1.0, rel=1e-15)
@@ -217,7 +212,7 @@ def test_away_step_cap_saturates_at_sentinel():
     p = _problem(np.eye(2), np.zeros(2), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [1.0, 0.0])
     # a zero slope on the full vertex ties the away step with the toward step
-    kind, vertex, _, alpha_max, _, _ = select_direction(st, np.array([0.0, 1.0]), FwConfig().beta)
+    kind, vertex, _, alpha_max, _, _ = select_direction(st, np.array([0.0, 1.0]), BETA)
     assert kind is StepKind.AWAY
     assert vertex == 0
     assert alpha_max == ALPHA_CAP
@@ -240,7 +235,7 @@ def test_choose_direction_prefers_better_linearized_away():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.2, 0.3, 0.0])
     g = np.array([-1.0, 5.0, -1.2])
-    kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, FwConfig().beta)
+    kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, BETA)
     assert kind is StepKind.AWAY
     assert vertex == 1
     assert g_dot_d == pytest.approx(-3.7, rel=1e-15)
@@ -254,7 +249,7 @@ def test_choose_direction_keeps_toward_when_away_is_worse():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.2, 0.3, 0.0])
     g = np.array([-1.0, 2.0, -5.0])
-    kind, vertex, g_dot_d, alpha_max, gap_ts, _ = select_direction(st, g, FwConfig().beta)
+    kind, vertex, g_dot_d, alpha_max, gap_ts, _ = select_direction(st, g, BETA)
     assert kind is StepKind.TOWARD
     assert vertex == 2
     assert alpha_max == 1.0
@@ -266,14 +261,13 @@ def test_choose_direction_blocks_tiny_away_caps():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.2, 1e-9, 0.0])
     # the away step linearizes better but its cap 1e-9/(1-1e-9) is below beta
-    kind, vertex, _, _, _, _ = select_direction(st, np.array([-1.0, 5.0, 0.0]), FwConfig().beta)
+    kind, vertex, _, _, _, _ = select_direction(st, np.array([-1.0, 5.0, 0.0]), BETA)
     assert kind is StepKind.TOWARD
     assert vertex == 0
 
 
 def test_fast_direction_matches_reference():
     rng = np.random.default_rng(41)
-    cfg = FwConfig()
     for trial in range(500):
         dim = int(rng.integers(2, 13))
         p = _random_problem(rng, dim, _RISKS[trial % 3])
@@ -284,8 +278,8 @@ def test_fast_direction_matches_reference():
         g = rng.standard_normal(dim)
         if trial % 7 == 0:
             g = np.abs(g)
-        ref_kind, ref_vertex, ref_d, ref_alpha, ref_gap = _reference_direction(st.z, g, cfg.beta)
-        kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, cfg.beta)
+        ref_kind, ref_vertex, ref_d, ref_alpha, ref_gap = _reference_direction(st.z, g, BETA)
+        kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, BETA)
         assert kind is ref_kind
         assert vertex == ref_vertex
         assert g_dot_d == pytest.approx(float(g @ ref_d), rel=1e-12, abs=1e-12)
@@ -302,7 +296,7 @@ def test_line_search_accepts_unit_step_on_easy_descent():
     p = _problem([[1.0]], [2.0], QuadraticRisk(1.0))
     st = IterateState.from_point(p, [0.0])
     alpha, halvings = line_search(
-        p, st, 0, StepKind.TOWARD, g_dot_d=-2.0, d_sq=1.0, alpha_max=1.0, cfg=FwConfig()
+        p, st, 0, StepKind.TOWARD, g_dot_d=-2.0, d_sq=1.0, alpha_max=1.0
     )
     assert alpha == 1.0
     assert halvings == 0
@@ -328,9 +322,7 @@ def test_line_search_nonmonotone_accepts_what_monotone_rejects():
     g_dot_d = float(g @ d)
     d_sq = float(d @ d)
     assert g_dot_d == pytest.approx(-0.6192, abs=1e-12)
-    alpha, halvings = line_search(
-        p, st, 0, StepKind.TOWARD, g_dot_d, d_sq, alpha_max=1.0, cfg=FwConfig(p_nm=1)
-    )
+    alpha, halvings = line_search(p, st, 0, StepKind.TOWARD, g_dot_d, d_sq, alpha_max=1.0)
     assert alpha == 0.25
     assert halvings == 2
     # the accepted trial climbs above the current f but stays under the memory
@@ -339,9 +331,7 @@ def test_line_search_nonmonotone_accepts_what_monotone_rejects():
 
     p, st = prepared_state(p_nm=0)
     assert st.f_bar() == pytest.approx(4.6096, abs=1e-12)
-    alpha, halvings = line_search(
-        p, st, 0, StepKind.TOWARD, g_dot_d, d_sq, alpha_max=1.0, cfg=FwConfig(p_nm=0)
-    )
+    alpha, halvings = line_search(p, st, 0, StepKind.TOWARD, g_dot_d, d_sq, alpha_max=1.0)
     assert alpha == 0.0625
     assert halvings == 4
 
@@ -351,21 +341,20 @@ def test_line_search_accepted_steps_hold_on_reevaluation():
     for trial in range(200):
         dim = int(rng.integers(2, 11))
         p = _random_problem(rng, dim, _RISKS[trial % 3])
-        cfg = FwConfig(p_nm=trial % 2)
-        st = IterateState.from_point(p, _random_point(rng, dim), p_nm=cfg.p_nm)
+        st = IterateState.from_point(p, _random_point(rng, dim), p_nm=trial % 2)
         g = st.gradient()
-        kind, vertex, g_dot_d, alpha_max, _, _ = select_direction(st, g, cfg.beta)
+        kind, vertex, g_dot_d, alpha_max, _, _ = select_direction(st, g, BETA)
         if g_dot_d >= 0.0:
             continue
         f_bar = st.f_bar()
         d = _step_vector(st.z, kind, vertex)
         assert g_dot_d == pytest.approx(float(g @ d), rel=1e-12, abs=1e-12)
         d_sq = float(d @ d)
-        alpha, halvings = line_search(p, st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg)
+        alpha, halvings = line_search(p, st, vertex, kind, g_dot_d, d_sq, alpha_max)
         assert 0.0 < alpha <= alpha_max
         assert halvings >= 0
         f_scratch = eval_f(p, st.z + alpha * d)
-        rhs = f_bar + cfg.gamma1 * alpha * g_dot_d - cfg.gamma2 * alpha * alpha * d_sq
+        rhs = f_bar + GAMMA1 * alpha * g_dot_d - GAMMA2 * alpha * alpha * d_sq
         assert f_scratch <= rhs + 1e-9 * (1.0 + abs(f_bar))
 
 
@@ -375,21 +364,19 @@ def test_line_search_stall_raises():
     p = _problem(np.eye(2), np.zeros(2), QuadraticRisk(1.0), d=1.0)
     st = IterateState.from_point(p, [0.5, 0.25])
     with pytest.raises(LineSearchStall):
-        line_search(
-            p, st, 0, StepKind.TOWARD, g_dot_d=-1e308, d_sq=1.0, alpha_max=1.0, cfg=FwConfig()
-        )
+        line_search(p, st, 0, StepKind.TOWARD, g_dot_d=-1e308, d_sq=1.0, alpha_max=1.0)
 
 
-def _scan_line_search(st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg):
+def _scan_line_search(st, vertex, kind, g_dot_d, d_sq, alpha_max):
     """The Armijo rule spelled out: try j = 0, 1, ... with scalar trials."""
     f_bar = st.f_bar()
     sign = 1.0 if kind is StepKind.TOWARD else -1.0
     alpha = alpha_max
     for j in range(MAX_HALVINGS + 1):
-        rhs = f_bar + cfg.gamma1 * alpha * g_dot_d - cfg.gamma2 * alpha * alpha * d_sq
+        rhs = f_bar + GAMMA1 * alpha * g_dot_d - GAMMA2 * alpha * alpha * d_sq
         if st.trial_objective(vertex, sign * alpha) <= rhs:
             return alpha, j
-        alpha *= cfg.delta
+        alpha *= DELTA
     raise LineSearchStall
 
 
@@ -401,20 +388,19 @@ def test_line_search_finds_the_step_the_scan_finds():
     for trial in range(1000):
         dim = int(rng.integers(2, 13))
         p = _random_problem(rng, dim, _RISKS[trial % 3])
-        cfg = FwConfig(p_nm=(trial // 3) % 2)
-        st = IterateState.from_point(p, _random_point(rng, dim), p_nm=cfg.p_nm)
+        st = IterateState.from_point(p, _random_point(rng, dim), p_nm=(trial // 3) % 2)
         # one accepted step first, so that the memory holds a value above f
-        kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, st.gradient(), cfg.beta)
+        kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, st.gradient(), BETA)
         if g_dot_d < 0.0:
-            alpha, _ = _scan_line_search(st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg)
+            alpha, _ = _scan_line_search(st, vertex, kind, g_dot_d, d_sq, alpha_max)
             st.apply_step(vertex, kind, alpha)
         g = st.gradient()
-        for beta in (cfg.beta, math.inf):
+        for beta in (BETA, math.inf):
             kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, g, beta)
             if g_dot_d >= 0.0:
                 continue
-            expected = _scan_line_search(st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg)
-            assert line_search(p, st, vertex, kind, g_dot_d, d_sq, alpha_max, cfg) == expected
+            expected = _scan_line_search(st, vertex, kind, g_dot_d, d_sq, alpha_max)
+            assert line_search(p, st, vertex, kind, g_dot_d, d_sq, alpha_max) == expected
             compared[kind] += 1
     assert compared[StepKind.TOWARD] >= 1000
     assert compared[StepKind.AWAY] >= 100
