@@ -8,7 +8,9 @@ run. Wall time is measured around the solve only, excluding parsing.
 Records CSV columns: instance, config, risk, risk_params, budget_mult,
 warmstart, monotone, status, wall_time, nodes, fw_iters, objective_max,
 return_term, nnz, max_entry, uncertified_leaves (blank numerics on failed
-cells).
+cells). The solve columns are ``SolveReport.to_dict`` fields, with
+``fw_iters_total`` written as ``fw_iters``; a grid entry's risk must pass
+``model.risk_from_dict``.
 Profile CSV columns: solver_config, tau, fraction_solved.
 """
 
@@ -92,6 +94,10 @@ def _grid_cell(i: int, entry) -> CellConfig:
     unknown = sorted(set(entry) - {f.name for f in dataclasses.fields(CellConfig)})
     if unknown:
         raise ValueError(f"grid entry {i}: unknown key {unknown[0]!r}")
+    try:
+        risk_from_dict(entry["risk"])
+    except ValueError as exc:
+        raise ValueError(f"grid entry {i}: {exc}") from None
     return CellConfig(**entry)
 
 
@@ -123,24 +129,15 @@ def epsilon_budget_grid(
 def _run_cell(task) -> dict:
     path, cell_dict = task
     cell = CellConfig(**cell_dict)
-    record = {
-        "instance": "",
-        "config": cell.label(),
-        "risk": cell.risk.get("kind", "?"),
-        "risk_params": cell.risk_params(),
-        "budget_mult": "" if cell.budget_multiplier is None else cell.budget_multiplier,
-        "warmstart": cell.warmstart,
-        "monotone": cell.monotone,
-        "status": "",
-        "wall_time": "",
-        "nodes": "",
-        "fw_iters": "",
-        "objective_max": "",
-        "return_term": "",
-        "nnz": "",
-        "max_entry": "",
-        "uncertified_leaves": "",
-    }
+    record = dict.fromkeys(RECORD_FIELDS, "")
+    record.update(
+        config=cell.label(),
+        risk=cell.risk.get("kind", "?"),
+        risk_params=cell.risk_params(),
+        budget_mult="" if cell.budget_multiplier is None else cell.budget_multiplier,
+        warmstart=cell.warmstart,
+        monotone=cell.monotone,
+    )
     try:
         inst = load_instance(path)
         record["instance"] = inst.name or str(path)
@@ -161,17 +158,9 @@ def _run_cell(task) -> dict:
             time_limit=cell.time_limit,
         )
         report = bnb.solve(inst, h, cfg)
-        record.update(
-            status=report.status.value,
-            wall_time=report.wall_time,
-            nodes=report.nodes,
-            fw_iters=report.fw_iters_total,
-            objective_max=report.objective_max,
-            return_term=report.return_term,
-            nnz=report.nnz,
-            max_entry=report.max_entry,
-            uncertified_leaves=report.uncertified_leaves,
-        )
+        fields = report.to_dict()
+        fields["fw_iters"] = fields.pop("fw_iters_total")
+        record.update((k, v) for k, v in fields.items() if k in record)
     except Exception as exc:  # cell failures must not abort the run
         if not record["instance"]:
             record["instance"] = str(path)

@@ -10,6 +10,7 @@ against the incumbent through their running dual bound.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import time
@@ -23,7 +24,6 @@ from scipy.optimize import minimize
 from . import fw
 from .model import (
     FixedSubproblem,
-    GradientUndefined,
     MeanRiskInstance,
     RiskWeighting,
     SimplexProblem,
@@ -32,7 +32,9 @@ from .model import (
     fix_variable,
     grad_f,
     objective_min,
+    portfolio_summary,
     simplex_transform,
+    solution_checks,
 )
 from .projection import project_capped_simplex
 
@@ -92,14 +94,14 @@ class BnbConfig:
 class Incumbent:
     y: np.ndarray
     value_min: float
-    source: str  # "heuristic" or "leaf"
 
 
 @dataclass
 class SolveReport:
     """Final answer in maximization form plus solve statistics.
 
-    ``uncertified_leaves`` counts continuous leaves whose relaxation ended
+    ``return_term``, ``nnz`` and ``max_entry`` are ``model.portfolio_summary``
+    of ``y``. ``uncertified_leaves`` counts continuous leaves whose relaxation ended
     without an optimality certificate and were re-polished; when it is
     nonzero the reported optimum may be conservative.
     """
@@ -116,18 +118,10 @@ class SolveReport:
     uncertified_leaves: int
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "objective_max": self.objective_max,
-            "y": [float(v) for v in self.y],
-            "nodes": self.nodes,
-            "fw_iters_total": self.fw_iters_total,
-            "wall_time": self.wall_time,
-            "return_term": self.return_term,
-            "nnz": self.nnz,
-            "max_entry": self.max_entry,
-            "uncertified_leaves": self.uncertified_leaves,
-        }
+        """JSON-ready fields, in declaration order."""
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        doc.update(status=self.status.value, y=[float(v) for v in self.y])
+        return doc
 
 
 def _pessimistic_values(M: np.ndarray, r: np.ndarray, h: RiskWeighting) -> np.ndarray:
@@ -173,8 +167,8 @@ def greedy_upper_bound(inst: MeanRiskInstance, h: RiskWeighting) -> Incumbent:
     value = objective_min(inst, y, h)
     zero_value = h.phi(0.0)
     if value > zero_value:
-        return Incumbent(np.zeros(inst.n), zero_value, "heuristic")
-    return Incumbent(y, value, "heuristic")
+        return Incumbent(np.zeros(inst.n), zero_value)
+    return Incumbent(y, value)
 
 
 def select_branching_variable(
@@ -349,10 +343,9 @@ def _polish_leaf(p: SimplexProblem, z0: np.ndarray) -> np.ndarray:
     """
 
     def grad(z):
-        try:
-            return grad_f(p, z)
-        except GradientUndefined:
-            return -np.asarray(p.mu)  # risk term flat to float at q ~ 0
+        g = grad_f(p, z)
+        # a non-finite slope means the risk term is flat to float at q ~ 0
+        return g if np.all(np.isfinite(g)) else -np.asarray(p.mu)
 
     res = minimize(
         lambda z: eval_f(p, z),
@@ -408,6 +401,7 @@ def solve(
         p_nm=0 if cfg.monotone else 1, gap_tol=cfg.tol, drift_window=_DRIFT_WINDOW
     )
     integer = frozenset(inst.integer_set)
+    int_idx = np.array(inst.integer_set, dtype=np.intp)
     inc = greedy_upper_bound(inst, h)
     nodes = 0
     fw_iters = 0
@@ -417,24 +411,22 @@ def solve(
     def threshold() -> float:
         return inc.value_min - cfg.tol
 
-    def consider(y: np.ndarray, source: str) -> None:
-        """Adopt a candidate if it beats the incumbent. Candidates must
-        already be feasible with integral (to 1e-8) integer coordinates;
-        entries are snapped to kill float dust before re-evaluation."""
+    def consider(y: np.ndarray) -> None:
+        """Adopt a candidate if it passes ``solution_checks`` and beats the
+        incumbent. Negative entries are clipped and integer coordinates
+        within 1e-8 of an integer snapped, to kill Frank-Wolfe dust."""
         nonlocal inc
         y = np.maximum(np.asarray(y, dtype=float), 0.0)
-        for i in integer:
-            snapped = round(y[i])
-            if abs(y[i] - snapped) > 1e-8:
-                log.error("non-integral candidate rejected (index %d = %r)", i, y[i])
-                return
-            y[i] = snapped
-        if float(inst.a @ y) > inst.b * (1.0 + 1e-9) + 1e-9:
-            log.error("infeasible candidate rejected")
+        snapped = np.round(y[int_idx])
+        near = np.abs(y[int_idx] - snapped) <= 1e-8
+        y[int_idx[near]] = snapped[near]
+        failed = [label for label, ok, _ in solution_checks(inst, y) if not ok]
+        if failed:
+            log.error("candidate rejected: %s", ", ".join(failed))
             return
         value = objective_min(inst, y, h)
         if value < inc.value_min:
-            inc = Incumbent(y, value, source)
+            inc = Incumbent(y, value)
 
     def process(sub: FixedSubproblem, parent_y: np.ndarray | None) -> _Outcome:
         nonlocal nodes, fw_iters, uncertified
@@ -445,7 +437,7 @@ def solve(
         if sub.dim == 0 or sub.b_s <= 0.0:
             # fully determined: every free variable is forced to zero
             y = sub.assemble(np.zeros(sub.dim))
-            consider(y, "leaf")
+            consider(y)
             return _Outcome(bound=objective_min(inst, y, h))
 
         p = simplex_transform(sub, h)
@@ -454,7 +446,7 @@ def solve(
             origin = fw.origin_optimality_check(p)
             if origin.origin_optimal:
                 y = sub.assemble(np.zeros(p.dim))
-                consider(y, "leaf")
+                consider(y)
                 if node_audit is not None:
                     node_audit(p, fw.RelaxationResult.at_origin(p))
                 return _Outcome(bound=objective_min(inst, y, h))
@@ -476,14 +468,14 @@ def solve(
             if not relax_optimal:
                 uncertified += 1
                 y_star = sub.assemble(_polish_leaf(p, res.z_star) * p.scale)
-            consider(y_star, "leaf")
+            consider(y_star)
             return _Outcome(bound=bound)
 
         if relax_optimal and all(
             abs(y_star[i] - round(y_star[i])) <= _INT_TOL for i in free_int
         ):
             # integral relaxation optimum solves the node exactly
-            consider(y_star, "leaf")
+            consider(y_star)
             return _Outcome(bound=bound)
 
         branch = select_branching_variable(sub, integer, y_star)
@@ -512,16 +504,13 @@ def solve(
     except _TimeLimit:
         status = SolveStatus.TIME_LIMIT
 
-    y = inc.y
     return SolveReport(
         status=status,
         objective_max=-inc.value_min + 0.0,  # +0.0 kills the "-0" rendering
-        y=y,
+        y=inc.y,
         nodes=nodes,
         fw_iters_total=fw_iters,
         wall_time=time.monotonic() - t_start,
-        return_term=float(inst.r @ y),
-        nnz=int(np.sum(np.abs(y) > 1e-9)),
-        max_entry=float(np.max(y)) if y.size else 0.0,
         uncertified_leaves=uncertified,
+        **portfolio_summary(inst, inc.y),
     )

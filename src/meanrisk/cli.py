@@ -29,13 +29,12 @@ from .instances import (
     load_instance,
 )
 from .model import (
-    ExpThresholdRisk,
-    LinearRisk,
     MeanRiskInstance,
-    QuadraticRisk,
     RiskWeighting,
     objective_max,
+    portfolio_summary,
     risk_from_dict,
+    solution_checks,
 )
 from .oracle import EnumerationBudgetExceeded, oracle_solve
 
@@ -87,21 +86,10 @@ def _risk_from_args(args) -> RiskWeighting:
         for name in ("epsilon", "omega", "gamma")
         if getattr(args, name) is not None
     }
-    if args.risk == "linear":
-        if set(given) == {"epsilon"}:
-            return LinearRisk.from_confidence(args.epsilon)
-        if set(given) == {"omega"}:
-            return LinearRisk(args.omega)
+    if args.risk == "linear" and len(given) != 1:
         raise ValueError("linear risk needs exactly one of --epsilon or --omega")
-    if args.risk == "quad":
-        if set(given) <= {"omega"}:
-            return QuadraticRisk(given.get("omega", 1.0))
-        raise ValueError("quad risk accepts only --omega")
-    if args.risk == "exp":
-        if set(given) <= {"gamma"}:
-            return ExpThresholdRisk(given.get("gamma", 0.0))
-        raise ValueError("exp risk accepts only --gamma")
-    raise ValueError(f"unknown risk kind {args.risk!r}")
+    defaults = {"quad": {"omega": 1.0}, "exp": {"gamma": 0.0}}.get(args.risk, {})
+    return risk_from_dict({"kind": args.risk, **defaults, **given})
 
 
 def _add_risk_flags(parser: argparse.ArgumentParser) -> None:
@@ -197,47 +185,27 @@ def _cmd_check(args) -> int:
     y = np.asarray(doc["y"], dtype=float)
     obj = float(doc["objective_max"])
 
-    failures = 0
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        line = f"{'ok  ' if ok else 'FAIL'} {label}"
-        if detail and not ok:
-            line += f" ({detail})"
-        print(line)
-        if not ok:
-            failures += 1
-
-    check("status field", doc.get("status") in ("optimal", "time_limit"))
-    check("solution length", y.shape == (inst.n,), f"got {y.shape}")
-    check("finite entries", bool(np.all(np.isfinite(y))))
-    check("nonnegative entries", bool(np.all(y >= -1e-12)), f"min {y.min():g}")
-    spend = float(inst.a @ y)
-    check(
-        "budget respected",
-        spend <= inst.b * (1.0 + 1e-9) + 1e-9,
-        f"spend {spend:g} vs budget {inst.b:g}",
-    )
-    frac = max((abs(y[i] - round(y[i])) for i in inst.integer_set), default=0.0)
-    check("integrality", frac <= 1e-9, f"max deviation {frac:g}")
-    recomputed = objective_max(inst, y, h)
-    err = abs(obj - recomputed)
-    check(
-        "objective consistent",
-        err <= 1e-8 * max(1.0, abs(recomputed)),
-        f"reported {obj!r} vs recomputed {recomputed!r}",
-    )
-    ret = float(inst.r @ y)
-    check(
-        "return term consistent",
-        abs(float(doc["return_term"]) - ret) <= 1e-8 * max(1.0, abs(ret)),
-    )
-    check("nnz consistent", int(doc["nnz"]) == int(np.sum(np.abs(y) > 1e-9)))
-    check(
-        "max entry consistent",
-        abs(float(doc["max_entry"]) - (float(np.max(y)) if y.size else 0.0)) <= 1e-9,
-    )
-    return 1 if failures else 0
+    checks = [("status field", doc.get("status") in ("optimal", "time_limit"), "")]
+    checks += solution_checks(inst, y)
+    labels = ("objective", "return term", "nnz", "max entry")
+    results = [(False, "not checked")] * 4
+    if checks[2][1]:  # y has full length and finite entries: recompute from it
+        value = objective_max(inst, y, h)
+        want = portfolio_summary(inst, y)
+        ret = want["return_term"]
+        results = [
+            (
+                abs(obj - value) <= 1e-8 * max(1.0, abs(value)),
+                f"reported {obj!r} vs recomputed {value!r}",
+            ),
+            (abs(float(doc["return_term"]) - ret) <= 1e-8 * max(1.0, abs(ret)), ""),
+            (int(doc["nnz"]) == want["nnz"], ""),
+            (abs(float(doc["max_entry"]) - want["max_entry"]) <= 1e-9, ""),
+        ]
+    checks += [(f"{label} consistent", *res) for label, res in zip(labels, results)]
+    for label, ok, detail in checks:
+        print(f"{'ok  ' if ok else 'FAIL'} {label}" + (f" ({detail})" if detail and not ok else ""))
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

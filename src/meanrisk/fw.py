@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .model import GradientUndefined, SimplexProblem, _unit, eval_f
+from .model import SimplexProblem, _risk_gradient, _unit, eval_f
 
 __all__ = [
     "ALPHA_CAP",
@@ -160,8 +160,8 @@ class IterateState:
         return max(self.f_hist)
 
     def gradient(self) -> np.ndarray:
-        """dphi(q) (2Qz + c) - mu; GradientUndefined where dphi is infinite."""
-        return self.p.h.dphi(self.q) * (2.0 * self.Qz + self.p.c) - self.p.mu
+        """dphi(q) (2Qz + c) - mu; all nan where dphi is infinite."""
+        return _risk_gradient(self.p.h, self.q, 2.0 * self.Qz + self.p.c, self.p.mu)
 
     def _advanced(self, vertex: int | None, tau: float):
         """Scalar caches after z -> (1 - tau) z + tau v, state untouched.
@@ -499,11 +499,7 @@ def solve_relaxation(
     next_check = cfg.drift_window if cfg.drift_window > 0 else cfg.max_iter + 1
     for _ in range(cfg.max_iter):
         iters += 1
-        try:
-            g = st.gradient()
-        except GradientUndefined:
-            log.warning("gradient undefined at an iterate; node keeps its last valid bound")
-            break
+        g = st.gradient()
         if not math.isfinite(float(g.sum())):
             log.warning("non-finite gradient; node keeps its last valid bound")
             break

@@ -10,7 +10,10 @@ The weighting enters everywhere only through phi(q) = h(sqrt(q)) of a
 quadratic form q >= 0, its derivative dphi(q) and the slope h'(0) (see
 ``RiskWeighting``). dphi is finite at q = 0 for the quadratic and
 thresholded weightings, so only the linear one leaves the objective
-non-differentiable where q vanishes.
+non-differentiable where q vanishes; there dphi reads +inf.
+
+The solution contract is stated here once: ``solution_checks`` for what a
+reported portfolio must satisfy, ``portfolio_summary`` for its report fields.
 
 Fixing integer variables moves covariance coefficients into linear and
 constant terms under the square root, and rescaling the free variables by
@@ -22,12 +25,11 @@ algebra; the relaxation solver never needs to know about the tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
-    "GradientUndefined",
     "InfeasibleFixing",
     "RiskWeighting",
     "LinearRisk",
@@ -43,6 +45,8 @@ __all__ = [
     "grad_f",
     "objective_min",
     "objective_max",
+    "solution_checks",
+    "portfolio_summary",
 ]
 
 _SYM_TOL = 1e-12
@@ -50,10 +54,6 @@ _SYM_TOL = 1e-12
 
 class InfeasibleFixing(ValueError):
     """Requested integer fixing does not fit into the remaining budget."""
-
-
-class GradientUndefined(ArithmeticError):
-    """Gradient requested where the risk term's slope is infinite."""
 
 
 class RiskWeighting:
@@ -64,8 +64,8 @@ class RiskWeighting:
 
     - ``phi(q)`` accepts a float or an ndarray and returns the same shape;
     - ``dphi(q)`` is the float derivative h'(sqrt q) / (2 sqrt q), extended
-      to q = 0 by its limit, and raises ``GradientUndefined`` only where
-      that limit is infinite;
+      to q = 0 by its limit, and ``math.inf`` where that limit is infinite
+      or the value overflows;
     - ``origin_slope`` is h'(0), which decides the origin optimality screen.
     """
 
@@ -99,7 +99,7 @@ class LinearRisk(RiskWeighting):
     epsilon: float | None = None
 
     kind = "linear"
-    # below this q the slope omega / (2 sqrt(q)) of phi counts as infinite
+    # below this q the slope omega / (2 sqrt(q)) of phi reads as infinite
     _Q_FLOOR = 1e-300
 
     def __post_init__(self):
@@ -123,7 +123,7 @@ class LinearRisk(RiskWeighting):
 
     def dphi(self, q: float) -> float:
         if q < self._Q_FLOOR:
-            raise GradientUndefined("square-root term vanishes at this point")
+            return math.inf
         return self.omega / (2.0 * math.sqrt(q))
 
     def params(self):
@@ -203,17 +203,24 @@ class ExpThresholdRisk(RiskWeighting):
 
 
 def risk_from_dict(spec: dict) -> RiskWeighting:
-    """Rebuild a risk weighting from its ``to_dict`` form."""
+    """Rebuild a risk weighting from its ``to_dict`` form.
+
+    Besides ``kind`` the keys must be fields of the weighting. The first
+    field is required, unless a linear spec gives ``epsilon``, which wins.
+    """
     kind = spec.get("kind")
-    if kind == "linear":
-        if spec.get("epsilon") is not None:
-            return LinearRisk.from_confidence(float(spec["epsilon"]))
-        return LinearRisk(float(spec["omega"]))
-    if kind == "quad":
-        return QuadraticRisk(float(spec["omega"]))
-    if kind == "exp":
-        return ExpThresholdRisk(float(spec["gamma"]))
-    raise ValueError(f"unknown risk kind: {kind!r}")
+    cls = {c.kind: c for c in (LinearRisk, QuadraticRisk, ExpThresholdRisk)}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown risk kind: {kind!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(spec) - {"kind", *names})
+    if unknown:
+        raise ValueError(f"{kind} risk: unknown key {unknown[0]!r}")
+    if spec.get("epsilon") is not None:
+        return LinearRisk.from_confidence(float(spec["epsilon"]))
+    if names[0] not in spec:
+        raise ValueError(f"{kind} risk: missing key {names[0]!r}")
+    return cls(float(spec[names[0]]))
 
 
 def _frozen(x) -> np.ndarray:
@@ -285,6 +292,46 @@ def objective_min(inst: MeanRiskInstance, y, h: RiskWeighting) -> float:
 def objective_max(inst: MeanRiskInstance, y, h: RiskWeighting) -> float:
     """Reported maximization-form objective r'y - h(sqrt(y'My))."""
     return -objective_min(inst, y, h)
+
+
+def solution_checks(inst: MeanRiskInstance, y) -> list[tuple[str, bool, str]]:
+    """What a reported portfolio must satisfy, as ordered (label, ok, detail).
+
+    Length n, finite entries, y >= -1e-12, a'y at most b with a relative
+    and an absolute slack of 1e-9, and integer coordinates within 1e-9 of
+    an integer. Once the length or the finiteness check fails, each later
+    check reads (False, "not checked") and is not evaluated.
+    """
+    y = np.asarray(y, dtype=float)
+    skip = (False, "not checked")
+    length = (y.shape == (inst.n,), f"got {y.shape}")
+    finite = (bool(np.isfinite(y).all()), "") if length[0] else skip
+    rest = [skip] * 3
+    if finite[0]:
+        low = float(y.min())
+        spend = float(inst.a @ y)
+        ints = y[list(inst.integer_set)]
+        frac = float(np.abs(ints - np.round(ints)).max(initial=0.0))
+        rest = [
+            (low >= -1e-12, f"min {low:g}"),
+            (spend <= inst.b * (1.0 + 1e-9) + 1e-9, f"spend {spend:g} vs budget {inst.b:g}"),
+            (frac <= 1e-9, f"max deviation {frac:g}"),
+        ]
+    labels = (
+        "solution length", "finite entries", "nonnegative entries", "budget respected", "integrality"
+    )
+    return [(label, *res) for label, res in zip(labels, [length, finite, *rest])]
+
+
+def portfolio_summary(inst: MeanRiskInstance, y) -> dict:
+    """Report fields of a full-length portfolio: return term r'y, the
+    number of entries above 1e-9 in magnitude and the largest entry."""
+    y = np.asarray(y, dtype=float)
+    return {
+        "return_term": float(inst.r @ y),
+        "nnz": int(np.sum(np.abs(y) > 1e-9)),
+        "max_entry": float(np.max(y)),
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,13 +499,21 @@ def eval_f(p: SimplexProblem, z) -> float:
     return p.h.phi(q) - float(p.mu @ z) - p.t_off
 
 
+def _risk_gradient(h: RiskWeighting, q: float, dq, mu) -> np.ndarray:
+    """dphi(q) dq - mu, all nan where dphi(q) is infinite (no inf * 0)."""
+    slope = h.dphi(q)
+    if slope == math.inf:
+        return np.full(len(mu), math.nan)
+    return slope * dq - mu
+
+
 def grad_f(p: SimplexProblem, z) -> np.ndarray:
     """Gradient dphi(q) (2Qz + c) - mu of f.
 
-    Raises GradientUndefined where the weighting's slope is infinite: the
-    linear weighting where the root term vanishes. Callers must route z = 0
-    on such a d = 0 node through the origin optimality check instead.
+    All nan where the weighting's slope is infinite: the linear weighting
+    where the root term vanishes. Callers must route z = 0 on such a d = 0
+    node through the origin optimality check instead.
     """
     z = np.asarray(z, dtype=float)
     q = max(float(z @ p.Q @ z + p.c @ z) + p.d, 0.0)
-    return p.h.dphi(q) * (2.0 * (p.Q @ z) + p.c) - p.mu
+    return _risk_gradient(p.h, q, 2.0 * (p.Q @ z) + p.c, p.mu)

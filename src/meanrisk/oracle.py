@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from .model import (
-    GradientUndefined,
     MeanRiskInstance,
     QuadraticRisk,
     RiskWeighting,
@@ -131,9 +130,8 @@ def continuous_min_pgd(
     def gradient(z):
         y[cont_idx] = scale * z
         My = inst.M @ y
-        try:
-            slope = h.dphi(max(float(y @ My), 0.0))
-        except GradientUndefined:
+        slope = h.dphi(max(float(y @ My), 0.0))
+        if not math.isfinite(slope):
             return None
         gy = 2.0 * slope * My - inst.r
         return gy[cont_idx] * scale

@@ -74,12 +74,21 @@ def test_load_grid(tmp_path):
     "entries, match",
     [
         (
-            [{"risk": {"kind": "quad"}}, {"risk": {"kind": "quad"}, "warm_start": "e1"}],
+            [
+                {"risk": {"kind": "quad", "omega": 1.0}},
+                {"risk": {"kind": "quad", "omega": 1.0}, "warm_start": "e1"},
+            ],
             "entry 1: unknown key 'warm_start'",
         ),
         ([{"warmstart": "e1"}], "entry 0 .*'risk'"),
         ([{"risk": "quad"}], "entry 0 .*'risk'"),
         ([["quad"]], "entry 0 must be an object"),
+        ([{"risk": {"kind": "quad"}}], "entry 0: quad risk: missing key 'omega'"),
+        (
+            [{"risk": {"kind": "exp", "gamma": 1.0, "omega": 2.0}}],
+            "entry 0: exp risk: unknown key 'omega'",
+        ),
+        ([{"risk": {"kind": "linear", "omega": -1.0}}], "entry 0: omega must be"),
     ],
 )
 def test_load_grid_names_the_malformed_entry(tmp_path, entries, match):

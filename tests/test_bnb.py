@@ -31,7 +31,9 @@ from meanrisk.model import (
     eval_f,
     fix_variable,
     objective_min,
+    portfolio_summary,
     simplex_transform,
+    solution_checks,
 )
 from meanrisk.oracle import oracle_solve
 
@@ -55,7 +57,6 @@ def test_greedy_fills_profitable_integer_item():
     inc = greedy_upper_bound(inst, LinearRisk(1.0))
     np.testing.assert_array_equal(inc.y, [3.0, 0.0])
     assert inc.value_min == pytest.approx(3.0 - 30.0, abs=1e-12)
-    assert inc.source == "heuristic"
 
 
 def test_greedy_returns_empty_portfolio_when_nothing_is_profitable():
@@ -280,6 +281,9 @@ def test_solve_report_dict_round_trips_values():
     assert doc["nodes"] == report.nodes >= 1
     assert doc["return_term"] == pytest.approx(float(inst.r @ report.y), abs=0)
     assert doc["nnz"] == int(np.sum(np.abs(report.y) > 1e-9))
+    assert list(doc) == [f.name for f in dataclasses.fields(report)]
+    summary = portfolio_summary(inst, report.y)
+    assert (report.return_term, report.nnz, report.max_entry) == tuple(summary.values())
 
 
 def test_solve_counts_polished_leaves_without_logging(monkeypatch, caplog):
@@ -304,6 +308,19 @@ def test_solve_counts_polished_leaves_without_logging(monkeypatch, caplog):
     report = solve(small_domain_instance(1), QuadraticRisk(1.0))
     assert report.uncertified_leaves == 0
     assert polished == 1
+
+
+def test_solve_rejects_an_infeasible_candidate_with_one_error(monkeypatch, caplog):
+    # the polished leaf of this instance is replaced by a point that spends
+    # twice the budget; the incumbent must stay feasible
+    monkeypatch.setattr(bnb, "_polish_leaf", lambda p, z0: np.full(p.dim, 2.0 / p.dim))
+    inst = generate_instance(20, 0.25, 0.02, seed=7)
+    with caplog.at_level(logging.ERROR, logger="meanrisk"):
+        report = solve(inst, QuadraticRisk(1.0))
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "candidate rejected: budget respected"
+    ]
+    assert all(ok for _, ok, _ in solution_checks(inst, report.y))
 
 
 def test_solve_warmstart_rules_agree():

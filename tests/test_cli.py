@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import math
 
 import pytest
 
@@ -188,6 +189,41 @@ def test_check_passes_then_flags_tampering(tmp_path, capsys):
     assert "FAIL objective consistent" in out
 
 
+@pytest.mark.parametrize(
+    "tamper, bad_line",
+    [(lambda y: [math.inf] + y[1:], 2), (lambda y: [math.nan] + y[1:], 2), (lambda y: y[:3], 1)],
+    ids=["infinite", "nan", "short"],
+)
+def test_check_reports_every_line_on_a_malformed_portfolio(tmp_path, capsys, tamper, bad_line):
+    inst_path = _generate(tmp_path, "inst", n=4, seed=4, int_frac=1.0, budget_mult=0.02)
+    report_path = tmp_path / "report.json"
+    args = ["solve", "--instance", str(inst_path), "--risk", "quad", "--out", str(report_path)]
+    assert main(args) == 0
+    doc = json.loads(report_path.read_text())
+    doc["y"] = tamper(doc["y"])
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["check", "--instance", str(inst_path), "--report", str(report_path)])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err == ""
+    lines = out.out.splitlines()
+    assert [line.split(" (")[0][5:] for line in lines] == [
+        "status field",
+        "solution length",
+        "finite entries",
+        "nonnegative entries",
+        "budget respected",
+        "integrality",
+        "objective consistent",
+        "return term consistent",
+        "nnz consistent",
+        "max entry consistent",
+    ]
+    assert lines[bad_line].startswith("FAIL")
+    assert all(line.endswith("(not checked)") for line in lines[bad_line + 1 :])
+
+
 # ------------------------------------------------------------------- bench
 
 
@@ -231,7 +267,7 @@ def test_bench_end_to_end(tmp_path):
 
 def test_bench_rejects_empty_glob(tmp_path):
     grid_path = tmp_path / "grid.json"
-    grid_path.write_text(json.dumps({"configs": [{"risk": {"kind": "quad"}}]}))
+    grid_path.write_text(json.dumps({"configs": [{"risk": {"kind": "quad", "omega": 1.0}}]}))
     rc = main(
         [
             "bench",
@@ -270,6 +306,29 @@ def test_bench_malformed_grid_is_an_input_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.splitlines() == ["ERROR grid entry 0: unknown key 'warm_start'"]
+
+
+def test_bench_bad_grid_risk_is_an_input_error(tmp_path, capsys):
+    _generate(tmp_path, "inst0", n=3, seed=0, int_frac=1.0, budget_mult=0.02)
+    grid_path = tmp_path / "grid.json"
+    risks = [{"kind": "quad", "omega": 1.0}, {"kind": "exp", "gamma": 1.0, "omega": 2.0}]
+    grid_path.write_text(json.dumps({"configs": [{"risk": risk} for risk in risks]}))
+    rc = main(
+        [
+            "bench",
+            "--instances",
+            str(tmp_path / "inst*.json"),
+            "--grid",
+            str(grid_path),
+            "--out-records",
+            str(tmp_path / "r.csv"),
+            "--out-profile",
+            str(tmp_path / "p.csv"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["ERROR grid entry 1: exp risk: unknown key 'omega'"]
 
 
 # ----------------------------------------------------------------- logging

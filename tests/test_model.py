@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from meanrisk.model import (
     ExpThresholdRisk,
     FixedSubproblem,
-    GradientUndefined,
     InfeasibleFixing,
     LinearRisk,
     MeanRiskInstance,
@@ -19,8 +19,10 @@ from meanrisk.model import (
     grad_f,
     objective_max,
     objective_min,
+    portfolio_summary,
     risk_from_dict,
     simplex_transform,
+    solution_checks,
 )
 
 
@@ -36,8 +38,7 @@ def test_linear_risk_values():
     assert h.origin_slope == 2.0
     np.testing.assert_allclose(h.phi(np.array([0.0, 1.0])), [0.0, 2.0])
     assert _slope(h, 1.0) == 2.0
-    with pytest.raises(GradientUndefined):
-        h.dphi(0.0)
+    assert h.dphi(0.0) == math.inf
 
 
 def test_linear_risk_from_confidence():
@@ -126,10 +127,8 @@ def test_exp_dphi_at_zero_is_the_limit_one_half():
 
 
 def test_linear_dphi_at_zero_is_undefined():
-    with pytest.raises(GradientUndefined):
-        LinearRisk(1.0).dphi(0.0)
-    with pytest.raises(GradientUndefined):
-        LinearRisk.from_confidence(0.95).dphi(1e-301)
+    assert LinearRisk(1.0).dphi(0.0) == math.inf
+    assert LinearRisk.from_confidence(0.95).dphi(1e-301) == math.inf
 
 
 def test_risk_param_validation():
@@ -154,6 +153,29 @@ def test_risk_dict_round_trip():
         assert back.to_dict() == h.to_dict()
     with pytest.raises(ValueError):
         risk_from_dict({"kind": "cubic"})
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        ({"kind": "exp", "gamma": 1.0, "omega": 2.0}, "exp risk: unknown key 'omega'"),
+        ({"kind": "quad", "omega": 1.0, "epsilon": 0.9}, "quad risk: unknown key 'epsilon'"),
+        ({"kind": "linear", "omega": 1.0, "gamma": 1.0}, "linear risk: unknown key 'gamma'"),
+        ({"kind": "quad"}, "quad risk: missing key 'omega'"),
+        ({"kind": "exp"}, "exp risk: missing key 'gamma'"),
+        ({"kind": "linear"}, "linear risk: missing key 'omega'"),
+        ({"omega": 1.0}, "unknown risk kind: None"),
+    ],
+)
+def test_risk_from_dict_names_the_bad_key(spec, match):
+    with pytest.raises(ValueError, match=match):
+        risk_from_dict(spec)
+
+
+def test_risk_from_dict_linear_epsilon_wins_over_omega():
+    h = risk_from_dict({"kind": "linear", "omega": 5.0, "epsilon": 0.95})
+    assert h == LinearRisk.from_confidence(0.95)
+    assert risk_from_dict({"kind": "linear", "omega": 5.0, "epsilon": None}) == LinearRisk(5.0)
 
 
 def _instance(n=3, seed=0, **overrides):
@@ -367,8 +389,7 @@ def test_grad_matches_finite_differences():
 
 def test_grad_undefined_at_origin_without_constant():
     p = _simplex_problem(np.eye(2), [1.0, 1.0], LinearRisk(1.0))
-    with pytest.raises(GradientUndefined):
-        grad_f(p, np.zeros(2))
+    assert np.all(np.isnan(grad_f(p, np.zeros(2))))
     # a positive constant under the root keeps the gradient defined
     p2 = _simplex_problem(np.eye(2), [1.0, 1.0], LinearRisk(1.0), d=0.5)
     assert np.all(np.isfinite(grad_f(p2, np.zeros(2))))
@@ -387,3 +408,73 @@ def test_vertex_values():
 def test_simplex_problem_rejects_negative_constant():
     with pytest.raises(ValueError):
         _simplex_problem(np.eye(2), [1.0, 1.0], LinearRisk(1.0), d=-1.0)
+
+
+# -------------------------------------------------------- solution contract
+
+
+def _labels_ok(checks):
+    return [(label, ok) for label, ok, _ in checks]
+
+
+def test_solution_checks_pass_a_feasible_portfolio():
+    inst = _instance(b=3.0)  # variable 0 integer
+    y = np.array([1.0, 0.25, 0.0])
+    assert _labels_ok(solution_checks(inst, y)) == [
+        ("solution length", True),
+        ("finite entries", True),
+        ("nonnegative entries", True),
+        ("budget respected", True),
+        ("integrality", True),
+    ]
+
+
+def test_solution_checks_flag_each_violation():
+    inst = _instance()
+    spend_all = inst.b / inst.a[1]
+    checks = dict(
+        (label, (ok, detail))
+        for label, ok, detail in solution_checks(inst, np.array([0.5, 2.0 * spend_all, -1e-6]))
+    )
+    assert checks["nonnegative entries"] == (False, "min -1e-06")
+    assert checks["budget respected"][0] is False
+    assert checks["integrality"] == (False, "max deviation 0.5")
+    # the budget tolerance is b (1 + 1e-9) + 1e-9, integrality 1e-9
+    y = np.array([0.0, spend_all * (1.0 + 5e-10), 0.0])
+    assert all(ok for _, ok, _ in solution_checks(inst, y))
+    y = np.array([1.0 + 2e-9, 0.0, 0.0])
+    assert _labels_ok(solution_checks(inst, y))[-1] == ("integrality", False)
+
+
+@pytest.mark.parametrize(
+    "y, first_bad",
+    [([0.0, 0.0], 0), ([np.inf, 0.0, 0.0], 1), ([0.0, np.nan, 0.0], 1), ([[0.0, 0.0, 0.0]], 0)],
+)
+def test_solution_checks_stop_evaluating_after_a_malformed_portfolio(y, first_bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = solution_checks(_instance(), y)
+    assert [ok for _, ok, _ in checks] == [True] * first_bad + [False] * (5 - first_bad)
+    assert [detail for _, _, detail in checks[first_bad + 1 :]] == ["not checked"] * (
+        4 - first_bad
+    )
+
+
+def test_portfolio_summary():
+    inst = _instance()
+    y = np.array([2.0, 5e-10, 0.5])
+    summary = portfolio_summary(inst, y)
+    assert summary == {
+        "return_term": float(inst.r @ y),
+        "nnz": 2,
+        "max_entry": 2.0,
+    }
+    assert type(summary["nnz"]) is int
+
+
+def test_grad_f_at_infinite_slope_is_nan_without_warnings():
+    p = _simplex_problem(np.eye(2), [1.0, 1.0], LinearRisk(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = grad_f(p, np.zeros(2))
+    assert g.shape == (2,) and np.all(np.isnan(g))
