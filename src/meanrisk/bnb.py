@@ -3,9 +3,9 @@
 Each node fixes one integer variable to a value near its relaxation optimum,
 enumerating candidate values by increasing distance so that a bound-pruned
 child cuts off every remaining sibling on the same side (node bounds grow
-monotonically along each side). Relaxations are solved by the
-conditional-gradient module, warmstarted from the parent solution, and pruned
-against the incumbent through their running dual bound.
+monotonically along each side). Every node with free budget takes one path:
+rescale onto the simplex, warmstart from the parent solution, relax with the
+conditional-gradient module, then prune by the dual bound, keep a leaf or branch.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .model import (
     MeanRiskInstance,
     RiskWeighting,
     SimplexProblem,
+    _INT_TOL,
     _unit,
     eval_f,
     fix_variable,
@@ -53,7 +54,6 @@ __all__ = [
 
 log = logging.getLogger("meanrisk.bnb")
 
-_INT_TOL = 1e-9
 # Node relaxations run with the slow-drift exit armed: a node that inches
 # along at O(1/k) still hands back a valid dual bound, and any surviving
 # leaf gets re-polished before its value is trusted.
@@ -286,52 +286,6 @@ def warmstart_point(
     return project_capped_simplex(x_tilde)
 
 
-def _node_start(
-    p: SimplexProblem,
-    sub: FixedSubproblem,
-    parent_y: np.ndarray | None,
-    rule: WarmstartRule,
-    h: RiskWeighting,
-    origin: fw.OriginCheck | None,
-) -> np.ndarray:
-    """Starting point per the warmstart rule, adjusted to beat the origin.
-
-    On a d = 0 node (where f may be non-differentiable at the origin and the
-    origin was already rejected) the start must satisfy f(z0) < f(0): the
-    rule point is tried first, then the best unit vertex, then backtracking
-    along the origin check's descent certificate. The certificate is a
-    strict descent ray, so the backtracking succeeds (at t = 1 already for
-    the positively homogeneous linear weighting); failing it is an error.
-
-    On a d > 0 node any finite-valued point works; an infinite warmstart
-    value (ExpThreshold overflow) is shrunk toward the origin until finite.
-    """
-    z0 = warmstart_point(sub, p, parent_y, rule, h)
-    if p.d > 0.0:
-        if math.isfinite(eval_f(p, z0)):
-            return z0
-        for _ in range(80):
-            z0 = 0.5 * z0
-            if math.isfinite(eval_f(p, z0)):
-                return z0
-        return np.zeros(p.dim)
-    f_origin = eval_f(p, np.zeros(p.dim))
-    f_start = eval_f(p, z0)
-    if math.isfinite(f_start) and f_start < f_origin:
-        return z0
-    values = p.vertex_values()
-    i = int(np.argmin(values))
-    if math.isfinite(float(values[i])) and float(values[i]) < f_origin:
-        return _unit(p.dim, i)
-    ray = origin.certificate / origin.certificate.sum()
-    t = 1.0
-    for _ in range(60):
-        if eval_f(p, t * ray) < f_origin:
-            return t * ray
-        t *= 0.5
-    raise RuntimeError("no point along the origin check's descent certificate beats the origin")
-
-
 def _polish_leaf(p: SimplexProblem, z0: np.ndarray) -> np.ndarray:
     """Local refinement of an uncertified continuous-leaf solution.
 
@@ -441,22 +395,13 @@ def solve(
             return _Outcome(bound=objective_min(inst, y, h))
 
         p = simplex_transform(sub, h)
-        origin = None
-        if p.d == 0.0:
-            origin = fw.origin_optimality_check(p)
-            if origin.origin_optimal:
-                y = sub.assemble(np.zeros(p.dim))
-                consider(y)
-                if node_audit is not None:
-                    node_audit(p, fw.RelaxationResult.at_origin(p))
-                return _Outcome(bound=objective_min(inst, y, h))
-
-        z0 = _node_start(p, sub, parent_y, cfg.warmstart, h, origin)
+        z0 = warmstart_point(sub, p, parent_y, cfg.warmstart, h)
         res = fw.solve_relaxation(p, z0, prune_threshold=threshold(), cfg=relax_cfg)
         fw_iters += res.iters
         if node_audit is not None:
             node_audit(p, res)
         bound = res.dual_bound
+        # ORIGIN_OPTIMAL stops here: its bound f(0), the empty portfolio's value, is >= greedy's
         if res.status is fw.RelaxationStatus.PRUNED_BY_BOUND or bound >= threshold():
             return _Outcome(bound=bound)
         y_star = sub.assemble(res.z_star * p.scale)

@@ -16,6 +16,7 @@ import argparse
 import glob
 import json
 import logging
+import math
 import os
 import sys
 
@@ -177,13 +178,21 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _as_float(value) -> float:
+    """A report field as a float; nan when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _cmd_check(args) -> int:
     inst = _read_instance(args.instance)
     with open(args.report, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     h = risk_from_dict(doc["risk"])
     y = np.asarray(doc["y"], dtype=float)
-    obj = float(doc["objective_max"])
+    reported = [_as_float(doc[key]) for key in ("objective_max", "return_term", "nnz", "max_entry")]
 
     checks = [("status field", doc.get("status") in ("optimal", "time_limit"), "")]
     checks += solution_checks(inst, y)
@@ -193,15 +202,18 @@ def _cmd_check(args) -> int:
         value = objective_max(inst, y, h)
         want = portfolio_summary(inst, y)
         ret = want["return_term"]
+        obj, ret_reported, nnz, max_entry = reported
         results = [
             (
                 abs(obj - value) <= 1e-8 * max(1.0, abs(value)),
                 f"reported {obj!r} vs recomputed {value!r}",
             ),
-            (abs(float(doc["return_term"]) - ret) <= 1e-8 * max(1.0, abs(ret)), ""),
-            (int(doc["nnz"]) == want["nnz"], ""),
-            (abs(float(doc["max_entry"]) - want["max_entry"]) <= 1e-9, ""),
+            (abs(ret_reported - ret) <= 1e-8 * max(1.0, abs(ret)), ""),
+            (nnz == want["nnz"], ""),
+            (abs(max_entry - want["max_entry"]) <= 1e-9, ""),
         ]
+    results = [(False, "not a number") if math.isnan(got) else res
+               for got, res in zip(reported, results)]
     checks += [(f"{label} consistent", *res) for label, res in zip(labels, results)]
     for label, ok, detail in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {label}" + (f" ({detail})" if detail and not ok else ""))

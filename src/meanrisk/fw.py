@@ -15,6 +15,9 @@ about two trials instead of scanning j = 0, 1, ... Trial objective values
 cost O(1) thanks to incremental caches of z'Qz, c'z, mu'z and sum(z);
 accepting a step costs O(dim) to update z and the cached matrix-vector
 product Q z.
+
+``solve_relaxation`` takes any feasible start. Where d = 0 it first runs
+the exact origin check and returns ``ORIGIN_OPTIMAL`` when z = 0 is optimal.
 """
 
 from __future__ import annotations
@@ -461,6 +464,39 @@ def _verify_step(
         )
 
 
+def _repair_start(p: SimplexProblem, z0: np.ndarray, origin: OriginCheck | None) -> np.ndarray:
+    """z0, or a replacement with a finite objective that beats f(0) when d = 0.
+
+    With d > 0 (``origin`` None), z0 is halved toward the origin until f is
+    finite (ExpThreshold overflows). With d = 0 the iterate must stay off
+    the origin, where f may not be differentiable: z0 is kept if f(z0) <
+    f(0), else the best unit vertex if it is, else backtracking along the
+    rejected origin's strict descent certificate, which succeeds (at t = 1
+    for the positively homogeneous linear weighting); failing it is an error.
+    """
+    if origin is None:
+        for _ in range(81):
+            if math.isfinite(eval_f(p, z0)):
+                return z0
+            z0 = 0.5 * z0
+        return np.zeros(p.dim)
+    f_origin = eval_f(p, np.zeros(p.dim))
+    f_start = eval_f(p, z0)
+    if math.isfinite(f_start) and f_start < f_origin:
+        return z0
+    values = p.vertex_values()
+    i = int(np.argmin(values))
+    if math.isfinite(float(values[i])) and float(values[i]) < f_origin:
+        return _unit(p.dim, i)
+    ray = origin.certificate / origin.certificate.sum()
+    t = 1.0
+    for _ in range(60):
+        if eval_f(p, t * ray) < f_origin:
+            return t * ray
+        t *= 0.5
+    raise RuntimeError("no point along the origin check's descent certificate beats the origin")
+
+
 def solve_relaxation(
     p: SimplexProblem,
     z0,
@@ -468,20 +504,20 @@ def solve_relaxation(
     cfg: FwConfig = FwConfig(),
     diag: RelaxationDiagnostics | None = None,
 ) -> RelaxationResult:
-    """Run the conditional-gradient loop from a feasible starting point.
+    """Solve the relaxation from any feasible starting point.
 
-    Stops when the toward-step gap certifies optimality within ``gap_tol``,
-    when the running dual bound (max over iterations of f + gap) reaches
-    ``prune_threshold``, or at the iteration limit. The dual bound is a valid
-    lower bound on the optimal value in every case, including early aborts on
-    numerical breakdown.
+    Where d = 0, an origin that ``origin_optimality_check`` proves optimal
+    gives ``RelaxationResult.at_origin`` (``ORIGIN_OPTIMAL``, no iterations).
+    Otherwise the loop runs from ``_repair_start(z0)`` until the toward-step
+    gap certifies optimality within ``gap_tol``, the running dual bound (max
+    over iterations of f + gap) reaches ``prune_threshold``, or the
+    iteration limit. The dual bound is a valid lower bound on the optimal
+    value in every case, including early aborts on numerical breakdown.
     """
-    st = IterateState(p, np.asarray(z0, dtype=float), cfg.p_nm)
-    if p.d == 0.0 and st.sum_z == 0.0:
-        raise ValueError(
-            "start point must avoid the origin when the root term vanishes there; "
-            "run the origin optimality check first"
-        )
+    origin = origin_optimality_check(p) if p.d == 0.0 else None
+    if origin is not None and origin.origin_optimal:
+        return RelaxationResult.at_origin(p)
+    st = IterateState(p, _repair_start(p, np.asarray(z0, dtype=float), origin), cfg.p_nm)
     dual = -math.inf
     status = RelaxationStatus.ITER_LIMIT
     iters = 0

@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
+# how far an integer coordinate may sit from an integer and still count as one
+_INT_TOL = 1e-9
 
 
 class InfeasibleFixing(ValueError):
@@ -175,9 +177,8 @@ class ExpThresholdRisk(RiskWeighting):
 
     def phi(self, q):
         if isinstance(q, np.ndarray):
-            u = np.sqrt(q) - self.gamma
-            with np.errstate(over="ignore"):
-                return np.where(u > 0.0, np.exp(u) - (u + 1.0), 0.0)
+            # per entry, as np.exp can differ from math.exp in a last bit the subtraction magnifies
+            return np.array([self.phi(float(v)) for v in q.flat]).reshape(q.shape)
         u = math.sqrt(q) - self.gamma
         if u <= 0.0:
             return 0.0
@@ -216,11 +217,14 @@ def risk_from_dict(spec: dict) -> RiskWeighting:
     unknown = sorted(set(spec) - {"kind", *names})
     if unknown:
         raise ValueError(f"{kind} risk: unknown key {unknown[0]!r}")
-    if spec.get("epsilon") is not None:
-        return LinearRisk.from_confidence(float(spec["epsilon"]))
-    if names[0] not in spec:
-        raise ValueError(f"{kind} risk: missing key {names[0]!r}")
-    return cls(float(spec[names[0]]))
+    key = "epsilon" if spec.get("epsilon") is not None else names[0]
+    if key not in spec:
+        raise ValueError(f"{kind} risk: missing key {key!r}")
+    try:
+        value = float(spec[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} risk: {key!r} is not a number") from None
+    return LinearRisk.from_confidence(value) if key == "epsilon" else cls(value)
 
 
 def _frozen(x) -> np.ndarray:
@@ -315,7 +319,7 @@ def solution_checks(inst: MeanRiskInstance, y) -> list[tuple[str, bool, str]]:
         rest = [
             (low >= -1e-12, f"min {low:g}"),
             (spend <= inst.b * (1.0 + 1e-9) + 1e-9, f"spend {spend:g} vs budget {inst.b:g}"),
-            (frac <= 1e-9, f"max deviation {frac:g}"),
+            (frac <= _INT_TOL, f"max deviation {frac:g}"),
         ]
     labels = (
         "solution length", "finite entries", "nonnegative entries", "budget respected", "integrality"
@@ -511,8 +515,8 @@ def grad_f(p: SimplexProblem, z) -> np.ndarray:
     """Gradient dphi(q) (2Qz + c) - mu of f.
 
     All nan where the weighting's slope is infinite: the linear weighting
-    where the root term vanishes. Callers must route z = 0 on such a d = 0
-    node through the origin optimality check instead.
+    where the root term vanishes, as at z = 0 on a d = 0 node; there
+    ``fw.solve_relaxation`` decides by the origin optimality check instead.
     """
     z = np.asarray(z, dtype=float)
     q = max(float(z @ p.Q @ z + p.c @ z) + p.d, 0.0)

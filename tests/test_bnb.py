@@ -20,7 +20,7 @@ from meanrisk.bnb import (
     solve,
     warmstart_point,
 )
-from meanrisk.fw import RelaxationResult
+from meanrisk.fw import RelaxationResult, RelaxationStatus
 from meanrisk.instances import generate_instance
 from meanrisk.model import (
     FixedSubproblem,
@@ -242,9 +242,11 @@ def test_solve_budget_below_every_price_forces_zero():
 
 def test_solve_huge_risk_aversion_keeps_the_origin():
     inst = generate_instance(4, integer_fraction=1.0, seed=2)
-    report = solve(inst, LinearRisk(1000.0))
+    seen = []
+    report = solve(inst, LinearRisk(1000.0), node_audit=lambda p, res: seen.append(res))
     assert report.status is SolveStatus.OPTIMAL
-    assert report.nodes == 1  # settled by the origin test at the root
+    assert report.nodes == 1  # settled by the relaxation's origin test at the root
+    assert [(res.status, res.iters) for res in seen] == [(RelaxationStatus.ORIGIN_OPTIMAL, 0)]
     np.testing.assert_array_equal(report.y, np.zeros(4))
     assert report.objective_max == 0.0
     assert report.return_term == 0.0

@@ -190,17 +190,27 @@ def test_check_passes_then_flags_tampering(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "tamper, bad_line",
-    [(lambda y: [math.inf] + y[1:], 2), (lambda y: [math.nan] + y[1:], 2), (lambda y: y[:3], 1)],
-    ids=["infinite", "nan", "short"],
+    "key, tamper, bad_line",
+    [
+        ("y", lambda y: [math.inf] + y[1:], 2),
+        ("y", lambda y: [math.nan] + y[1:], 2),
+        ("y", lambda y: y[:3], 1),
+        ("objective_max", lambda v: None, 6),
+        ("return_term", lambda v: [v], 7),
+        ("nnz", lambda v: "many", 8),
+        ("max_entry", lambda v: {"value": v}, 9),
+    ],
+    ids=["infinite", "nan", "short", "objective-null", "return-list", "nnz-text", "max-dict"],
 )
-def test_check_reports_every_line_on_a_malformed_portfolio(tmp_path, capsys, tamper, bad_line):
+def test_check_reports_every_line_on_a_malformed_portfolio(
+    tmp_path, capsys, key, tamper, bad_line
+):
     inst_path = _generate(tmp_path, "inst", n=4, seed=4, int_frac=1.0, budget_mult=0.02)
     report_path = tmp_path / "report.json"
     args = ["solve", "--instance", str(inst_path), "--risk", "quad", "--out", str(report_path)]
     assert main(args) == 0
     doc = json.loads(report_path.read_text())
-    doc["y"] = tamper(doc["y"])
+    doc[key] = tamper(doc[key])
     report_path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["check", "--instance", str(inst_path), "--report", str(report_path)])
@@ -221,7 +231,11 @@ def test_check_reports_every_line_on_a_malformed_portfolio(tmp_path, capsys, tam
         "max entry consistent",
     ]
     assert lines[bad_line].startswith("FAIL")
-    assert all(line.endswith("(not checked)") for line in lines[bad_line + 1 :])
+    if key == "y":
+        assert all(line.endswith("(not checked)") for line in lines[bad_line + 1 :])
+    else:
+        assert lines[bad_line].endswith("consistent (not a number)")
+        assert all(line.startswith("ok") for line in lines[:bad_line] + lines[bad_line + 1 :])
 
 
 # ------------------------------------------------------------------- bench
@@ -311,24 +325,28 @@ def test_bench_malformed_grid_is_an_input_error(tmp_path, capsys):
 def test_bench_bad_grid_risk_is_an_input_error(tmp_path, capsys):
     _generate(tmp_path, "inst0", n=3, seed=0, int_frac=1.0, budget_mult=0.02)
     grid_path = tmp_path / "grid.json"
-    risks = [{"kind": "quad", "omega": 1.0}, {"kind": "exp", "gamma": 1.0, "omega": 2.0}]
-    grid_path.write_text(json.dumps({"configs": [{"risk": risk} for risk in risks]}))
-    rc = main(
-        [
-            "bench",
-            "--instances",
-            str(tmp_path / "inst*.json"),
-            "--grid",
-            str(grid_path),
-            "--out-records",
-            str(tmp_path / "r.csv"),
-            "--out-profile",
-            str(tmp_path / "p.csv"),
-        ]
-    )
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["ERROR grid entry 1: exp risk: unknown key 'omega'"]
+    for bad_risk, message in [
+        ({"kind": "exp", "gamma": 1.0, "omega": 2.0}, "exp risk: unknown key 'omega'"),
+        ({"kind": "quad", "omega": [1]}, "quad risk: 'omega' is not a number"),
+    ]:
+        risks = [{"kind": "quad", "omega": 1.0}, bad_risk]
+        grid_path.write_text(json.dumps({"configs": [{"risk": risk} for risk in risks]}))
+        rc = main(
+            [
+                "bench",
+                "--instances",
+                str(tmp_path / "inst*.json"),
+                "--grid",
+                str(grid_path),
+                "--out-records",
+                str(tmp_path / "r.csv"),
+                "--out-profile",
+                str(tmp_path / "p.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"ERROR grid entry 1: {message}"]
 
 
 # ----------------------------------------------------------------- logging

@@ -637,9 +637,10 @@ def _pgd_min(p, z0, max_iter=1_000_000):
 
 @pytest.mark.parametrize("h", [QuadraticRisk(1.0), ExpThresholdRisk(0.0)])
 def test_solve_relaxation_passes_through_origin_for_smooth_weightings(h):
-    # phi is smooth at q = 0 for these weightings, so an iterate that
-    # reaches z = 0 on this d = 0 root keeps its gradient and moves on
-    # instead of stopping with a loose bracket
+    # on this d = 0 root the origin is not optimal and e1 is far above f(0)
+    # = 0 (3.1e3 under quad, 2.0e24 under exp), so the solve starts from a
+    # repaired point below f(0); from there it keeps a finite gradient for
+    # all 4000 iterations, ends below f(0) and closes the bracket below 1
     inst = generate_instance(50, 0.5, 1.0, seed=7)
     p = simplex_transform(FixedSubproblem.root(inst), h)
     assert not origin_optimality_check(p).origin_optimal
@@ -652,9 +653,16 @@ def test_solve_relaxation_passes_through_origin_for_smooth_weightings(h):
 
 
 def test_solve_relaxation_rejects_origin_start_when_root_term_vanishes():
+    # the origin is not optimal, so the origin start is replaced: f is 0 at
+    # both the origin and the best vertex e1, and the certificate e1 first
+    # beats f(0) at t = 1/2; from there the solve reaches the interior optimum
     p = _problem(np.eye(2), [1.0, 0.5], QuadraticRisk(1.0))
-    with pytest.raises(ValueError):
-        solve_relaxation(p, np.zeros(2))
+    diag = RelaxationDiagnostics()
+    res = solve_relaxation(p, np.zeros(2), cfg=FwConfig(max_iter=5000), diag=diag)
+    assert diag.f[0] == eval_f(p, [0.5, 0.0])
+    np.testing.assert_allclose(res.z_star, [0.5, 0.25], atol=1e-6)
+    assert res.f_star == pytest.approx(-0.3125, abs=1e-9)
+    assert res.dual_bound <= -0.3125 + 1e-12
     # with d > 0 the objective is smooth at zero and the origin start is fine
     smooth = _problem(np.eye(2), [1.0, 0.5], QuadraticRisk(1.0), d=0.5)
     res = solve_relaxation(smooth, np.zeros(2), cfg=FwConfig(max_iter=5000))
@@ -686,11 +694,13 @@ def test_solve_relaxation_drift_window_exit_keeps_valid_bound():
 
 
 def test_result_at_origin_constructor():
+    # the origin is optimal on this d = 0 problem, so solve_relaxation
+    # screens it and returns the same result from any start
     p = _problem(np.eye(3), [-1.0, -2.0, -0.5], LinearRisk(2.0))
-    res = RelaxationResult.at_origin(p)
-    assert res.status is RelaxationStatus.ORIGIN_OPTIMAL
-    assert res.iters == 0
-    assert res.state is None
-    np.testing.assert_array_equal(res.z_star, np.zeros(3))
-    assert res.f_star == 0.0
-    assert res.dual_bound == res.f_star
+    for res in (RelaxationResult.at_origin(p), solve_relaxation(p, np.full(3, 0.25))):
+        assert res.status is RelaxationStatus.ORIGIN_OPTIMAL
+        assert res.iters == 0
+        assert res.state is None
+        np.testing.assert_array_equal(res.z_star, np.zeros(3))
+        assert res.f_star == 0.0
+        assert res.dual_bound == res.f_star

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from meanrisk.model import (
@@ -99,6 +99,7 @@ def test_dphi_matches_central_differences(h, q):
 
 
 @given(h=_weightings, qs=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8))
+@example(h=ExpThresholdRisk(0.001953125), qs=[1e-05])  # np.exp and math.exp differ in a bit
 def test_array_phi_matches_scalar_phi(h, qs):
     out = h.phi(np.array(qs))
     assert out.shape == (len(qs),)
@@ -165,6 +166,9 @@ def test_risk_dict_round_trip():
         ({"kind": "exp"}, "exp risk: missing key 'gamma'"),
         ({"kind": "linear"}, "linear risk: missing key 'omega'"),
         ({"omega": 1.0}, "unknown risk kind: None"),
+        ({"kind": "quad", "omega": [1]}, "quad risk: 'omega' is not a number"),
+        ({"kind": "exp", "gamma": None}, "exp risk: 'gamma' is not a number"),
+        ({"kind": "linear", "epsilon": "high"}, "linear risk: 'epsilon' is not a number"),
     ],
 )
 def test_risk_from_dict_names_the_bad_key(spec, match):
