@@ -16,7 +16,7 @@ cost O(1) thanks to incremental caches of z'Qz, c'z, mu'z and sum(z);
 accepting a step costs O(dim) to update z and the cached matrix-vector
 product Q z.
 
-``solve_relaxation`` takes any feasible start. Where d = 0 it first runs
+``solve_relaxation`` takes any feasible start. Where d = c = 0 it first runs
 the exact origin check and returns ``ORIGIN_OPTIMAL`` when z = 0 is optimal.
 """
 
@@ -467,12 +467,12 @@ def _verify_step(
 def _repair_start(p: SimplexProblem, z0: np.ndarray, origin: OriginCheck | None) -> np.ndarray:
     """z0, or a replacement with a finite objective that beats f(0) when d = 0.
 
-    With d > 0 (``origin`` None), z0 is halved toward the origin until f is
-    finite (ExpThreshold overflows). With d = 0 the iterate must stay off
-    the origin, where f may not be differentiable: z0 is kept if f(z0) <
+    Without an origin check (``origin`` None), z0 is halved toward the origin
+    until f is finite (ExpThreshold overflows). Otherwise the iterate must stay
+    off the origin, where f may not be differentiable: z0 is kept if f(z0) <
     f(0), else the best unit vertex if it is, else backtracking along the
-    rejected origin's strict descent certificate, which succeeds (at t = 1
-    for the positively homogeneous linear weighting); failing it is an error.
+    rejected origin's strict descent certificate, which succeeds (at t = 1 for
+    the positively homogeneous linear weighting); failing it is an error.
     """
     if origin is None:
         for _ in range(81):
@@ -481,12 +481,11 @@ def _repair_start(p: SimplexProblem, z0: np.ndarray, origin: OriginCheck | None)
             z0 = 0.5 * z0
         return np.zeros(p.dim)
     f_origin = eval_f(p, np.zeros(p.dim))
-    f_start = eval_f(p, z0)
-    if math.isfinite(f_start) and f_start < f_origin:
+    if eval_f(p, z0) < f_origin:
         return z0
     values = p.vertex_values()
     i = int(np.argmin(values))
-    if math.isfinite(float(values[i])) and float(values[i]) < f_origin:
+    if float(values[i]) < f_origin:
         return _unit(p.dim, i)
     ray = origin.certificate / origin.certificate.sum()
     t = 1.0
@@ -506,18 +505,21 @@ def solve_relaxation(
 ) -> RelaxationResult:
     """Solve the relaxation from any feasible starting point.
 
-    Where d = 0, an origin that ``origin_optimality_check`` proves optimal
-    gives ``RelaxationResult.at_origin`` (``ORIGIN_OPTIMAL``, no iterations).
+    Where d = c = 0, an origin that ``origin_optimality_check`` proves optimal
+    gives ``RelaxationResult.at_origin`` (``ORIGIN_OPTIMAL``, no iterations);
+    with d = 0 but c != 0 (never a bnb node) z0 must avoid the origin.
     Otherwise the loop runs from ``_repair_start(z0)`` until the toward-step
     gap certifies optimality within ``gap_tol``, the running dual bound (max
-    over iterations of f + gap) reaches ``prune_threshold``, or the
-    iteration limit. The dual bound is a valid lower bound on the optimal
-    value in every case, including early aborts on numerical breakdown.
+    over iterations of f + gap) reaches ``prune_threshold``, or the iteration
+    limit. The dual bound is a valid lower bound on the optimal value in every
+    case, including early aborts on numerical breakdown.
     """
-    origin = origin_optimality_check(p) if p.d == 0.0 else None
+    origin = origin_optimality_check(p) if p.d == 0.0 and not p.c.any() else None
     if origin is not None and origin.origin_optimal:
         return RelaxationResult.at_origin(p)
     st = IterateState(p, _repair_start(p, np.asarray(z0, dtype=float), origin), cfg.p_nm)
+    if p.d == 0.0 and st.sum_z == 0.0:
+        raise ValueError("start point must avoid the origin when d = 0 and c != 0")
     dual = -math.inf
     status = RelaxationStatus.ITER_LIMIT
     iters = 0

@@ -670,6 +670,20 @@ def test_solve_relaxation_rejects_origin_start_when_root_term_vanishes():
     assert res.f_star == pytest.approx(0.1875, abs=1e-9)
 
 
+def test_solve_relaxation_skips_the_screen_when_only_d_vanishes():
+    # the origin check needs c = 0 too; with c != 0 the loop runs from z0
+    # as given, and an origin start, where the gradient blows up, is refused
+    p = _problem(np.eye(2), [1.0, 1.0], LinearRisk(1.0), c=[0.1, 0.0])
+    diag = RelaxationDiagnostics()
+    res = solve_relaxation(p, [0.5, 0.5], diag=diag)
+    assert diag.f[0] == eval_f(p, [0.5, 0.5])
+    assert res.status is RelaxationStatus.OPTIMAL
+    assert res.iters > 0 and res.state is not None
+    assert res.dual_bound <= res.f_star + 1e-12
+    with pytest.raises(ValueError):
+        solve_relaxation(p, np.zeros(2))
+
+
 def test_solve_relaxation_prune_threshold_stops_early():
     p = _problem(np.eye(2), [1.0, 0.5], QuadraticRisk(1.0))
     z0 = [1.0 / 3.0, 1.0 / 3.0]

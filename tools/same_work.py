@@ -1,6 +1,6 @@
 """Print the work each cell of a benchmark pass takes, to diff two checkouts.
 
-    python3 tools/same_work.py --seed 42 [--workload screen tight wide] > work.jsonl
+    python3 tools/same_work.py --seed 42 > work.jsonl
 
 Solves the first pass that ``perfbench/run.py --seed N`` draws for each
 workload, with this checkout's ``src``, and prints one JSON line per cell:
@@ -30,15 +30,13 @@ from workloads import (  # noqa: E402
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS))
     args = ap.parse_args(argv)
     use_checkout_source()
     from meanrisk import bnb, instances
     from meanrisk.model import risk_from_dict
 
     cfg = bnb.BnbConfig(time_limit=SOLVE_TIME_LIMIT_S)
-    for name in args.workload:
-        w = WORKLOADS[name]
+    for name, w in WORKLOADS.items():
         # the first draw of run.Pool's generator is the run's first pass
         cells = draw_pass(w, universe_cells(w), random.Random(f"{name}:{args.seed}"))
         for cell in cells:
