@@ -30,6 +30,7 @@ from .model import (
     LinearRisk,
     MeanRiskInstance,
     QuadraticRisk,
+    RISK_KINDS,
     RiskWeighting,
     SimplexProblem,
     eval_f,
@@ -66,6 +67,7 @@ __all__ = [
     "LinearRisk",
     "MeanRiskInstance",
     "QuadraticRisk",
+    "RISK_KINDS",
     "RiskWeighting",
     "SimplexProblem",
     "eval_f",

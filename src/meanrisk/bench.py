@@ -9,8 +9,10 @@ Records CSV columns: instance, config, risk, risk_params, budget_mult,
 warmstart, monotone, status, wall_time, nodes, fw_iters, objective_max,
 return_term, nnz, max_entry, uncertified_leaves (blank numerics on failed
 cells). The solve columns are ``SolveReport.to_dict`` fields, with
-``fw_iters_total`` written as ``fw_iters``; a grid entry's risk must pass
-``model.risk_from_dict``.
+``fw_iters_total`` written as ``fw_iters``. ``load_grid`` checks each entry
+as it loads: its risk must pass ``model.risk_from_dict``, its solver settings
+``bnb.BnbConfig``, and a given budget multiplier must be positive and
+finite. A bad entry is an input error, not a column of failed cells.
 Profile CSV columns: solver_config, tau, fraction_solved.
 """
 
@@ -19,12 +21,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import bnb
 from .instances import load_instance
-from .model import MeanRiskInstance, risk_from_dict
+from .model import RiskWeighting, risk_from_dict
 
 __all__ = [
     "RECORD_FIELDS",
@@ -88,17 +91,31 @@ class CellConfig:
         return ",".join(f"{k}={v:g}" for k, v in sorted(self.risk.items()) if k != "kind")
 
 
+def _solver_settings(cell: CellConfig) -> tuple[RiskWeighting, bnb.BnbConfig]:
+    """The cell's weighting and solver configuration, validated."""
+    if cell.budget_multiplier is not None and not 0.0 < cell.budget_multiplier < math.inf:
+        raise ValueError("budget multiplier must be positive and finite")
+    cfg = bnb.BnbConfig(
+        warmstart=bnb.WarmstartRule(cell.warmstart),
+        monotone=cell.monotone,
+        tol=cell.tol,
+        time_limit=cell.time_limit,
+    )
+    return risk_from_dict(cell.risk), cfg
+
+
 def _grid_cell(i: int, entry) -> CellConfig:
     if not isinstance(entry, dict) or not isinstance(entry.get("risk"), dict):
         raise ValueError(f"grid entry {i} must be an object with a 'risk' object")
     unknown = sorted(set(entry) - {f.name for f in dataclasses.fields(CellConfig)})
     if unknown:
         raise ValueError(f"grid entry {i}: unknown key {unknown[0]!r}")
+    cell = CellConfig(**entry)
     try:
-        risk_from_dict(entry["risk"])
-    except ValueError as exc:
+        _solver_settings(cell)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"grid entry {i}: {exc}") from None
-    return CellConfig(**entry)
+    return cell
 
 
 def load_grid(path) -> list[CellConfig]:
@@ -142,21 +159,8 @@ def _run_cell(task) -> dict:
         inst = load_instance(path)
         record["instance"] = inst.name or str(path)
         if cell.budget_multiplier is not None:
-            inst = MeanRiskInstance(
-                r=inst.r,
-                a=inst.a,
-                b=cell.budget_multiplier * float(inst.a.sum()),
-                M=inst.M,
-                integer_set=inst.integer_set,
-                name=inst.name,
-            )
-        h = risk_from_dict(cell.risk)
-        cfg = bnb.BnbConfig(
-            warmstart=bnb.WarmstartRule(cell.warmstart),
-            monotone=cell.monotone,
-            tol=cell.tol,
-            time_limit=cell.time_limit,
-        )
+            inst = dataclasses.replace(inst, b=cell.budget_multiplier * float(inst.a.sum()))
+        h, cfg = _solver_settings(cell)
         report = bnb.solve(inst, h, cfg)
         fields = report.to_dict()
         fields["fw_iters"] = fields.pop("fw_iters_total")

@@ -13,6 +13,7 @@ disabled when stderr is not a terminal or NO_COLOR is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import logging
@@ -30,6 +31,7 @@ from .instances import (
     load_instance,
 )
 from .model import (
+    RISK_KINDS,
     MeanRiskInstance,
     RiskWeighting,
     objective_max,
@@ -81,23 +83,22 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+# every field name of a registered weighting, each one a --<name> flag
+_RISK_FIELDS = dict.fromkeys(f.name for cls in RISK_KINDS.values() for f in dataclasses.fields(cls))
+
+
 def _risk_from_args(args) -> RiskWeighting:
-    given = {
-        name: getattr(args, name)
-        for name in ("epsilon", "omega", "gamma")
-        if getattr(args, name) is not None
-    }
-    if args.risk == "linear" and len(given) != 1:
-        raise ValueError("linear risk needs exactly one of --epsilon or --omega")
-    defaults = {"quad": {"omega": 1.0}, "exp": {"gamma": 0.0}}.get(args.risk, {})
-    return risk_from_dict({"kind": args.risk, **defaults, **given})
+    spec = {f.name: f.default for f in dataclasses.fields(RISK_KINDS[args.risk])}
+    for name in _RISK_FIELDS:
+        if getattr(args, name) is not None:
+            spec[name] = getattr(args, name)
+    return risk_from_dict({"kind": args.risk, **{k: v for k, v in spec.items() if v is not None}})
 
 
 def _add_risk_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--risk", required=True, choices=["linear", "quad", "exp"])
-    parser.add_argument("--epsilon", type=float, help="confidence level for linear risk")
-    parser.add_argument("--omega", type=float, help="risk weight multiplier")
-    parser.add_argument("--gamma", type=float, help="threshold for exp risk")
+    parser.add_argument("--risk", required=True, choices=list(RISK_KINDS))
+    for name in _RISK_FIELDS:
+        parser.add_argument(f"--{name}", type=float, help="a parameter of the --risk kind")
 
 
 def _solve_config(args) -> bnb.BnbConfig:
@@ -190,15 +191,17 @@ def _cmd_check(args) -> int:
     inst = _read_instance(args.instance)
     with open(args.report, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("report must be a JSON object")
     h = risk_from_dict(doc["risk"])
-    y = np.asarray(doc["y"], dtype=float)
     reported = [_as_float(doc[key]) for key in ("objective_max", "return_term", "nnz", "max_entry")]
 
     checks = [("status field", doc.get("status") in ("optimal", "time_limit"), "")]
-    checks += solution_checks(inst, y)
+    checks += solution_checks(inst, doc["y"])
     labels = ("objective", "return term", "nnz", "max entry")
     results = [(False, "not checked")] * 4
     if checks[2][1]:  # y has full length and finite entries: recompute from it
+        y = np.asarray(doc["y"], dtype=float)
         value = objective_max(inst, y, h)
         want = portfolio_summary(inst, y)
         ret = want["return_term"]

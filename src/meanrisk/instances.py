@@ -86,6 +86,18 @@ def instance_to_dict(inst: MeanRiskInstance, seed: int | None = None) -> dict:
     return doc
 
 
+def _read(doc: dict, key: str, convert, what: str):
+    """``convert(doc[key])``, or a ValueError naming the key."""
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"instance key {key!r} must be {what}") from None
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def instance_from_dict(doc: dict) -> MeanRiskInstance:
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
@@ -95,31 +107,31 @@ def instance_from_dict(doc: dict) -> MeanRiskInstance:
     for key in ("n", "r", "a", "b", "integer_indices"):
         if key not in doc:
             raise ValueError(f"instance document is missing {key!r}")
-    n = int(doc["n"])
-    r = np.asarray(doc["r"], dtype=float)
-    a = np.asarray(doc["a"], dtype=float)
+    n = _read(doc, "n", int, "an integer")
+    r = _read(doc, "r", _floats, "a list of numbers")
+    a = _read(doc, "a", _floats, "a list of numbers")
     if r.shape != (n,) or a.shape != (n,):
         raise ValueError("lengths of r and a must equal n")
     if ("M" in doc) == ("M_factor" in doc):
         raise ValueError("exactly one of 'M' and 'M_factor' must be present")
     if "M" in doc:
-        M = np.asarray(doc["M"], dtype=float)
+        M = _read(doc, "M", _floats, "a matrix of numbers")
         if M.shape != (n, n):
             raise ValueError("M must be an n-by-n matrix")
     else:
-        factor = np.asarray(doc["M_factor"], dtype=float)
+        factor = _read(doc, "M_factor", _floats, "a matrix of numbers")
         if factor.shape != (n, n):
             raise ValueError("M_factor must be an n-by-n matrix")
         if np.any(np.triu(factor, 1) != 0.0):
             raise ValueError("M_factor must be lower-triangular")
         M = factor @ factor.T
-    idx = [int(i) for i in doc["integer_indices"]]
+    idx = _read(doc, "integer_indices", lambda v: [int(i) for i in v], "a list of integers")
     if any(not 1 <= i <= n for i in idx):
         raise ValueError("integer_indices must be 1-based indices in [1, n]")
     return MeanRiskInstance(
         r=r,
         a=a,
-        b=float(doc["b"]),
+        b=_read(doc, "b", float, "a number"),
         M=M,
         integer_set=tuple(i - 1 for i in idx),
         name=str(doc.get("name", "")),

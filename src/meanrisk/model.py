@@ -35,6 +35,7 @@ __all__ = [
     "LinearRisk",
     "QuadraticRisk",
     "ExpThresholdRisk",
+    "RISK_KINDS",
     "risk_from_dict",
     "MeanRiskInstance",
     "FixedSubproblem",
@@ -61,8 +62,9 @@ class InfeasibleFixing(ValueError):
 class RiskWeighting:
     """Convex, non-decreasing weight h on the risk magnitude t = sqrt(q).
 
-    The solver sees h only through phi(q) = h(sqrt(q)) on the quadratic form
-    q >= 0:
+    A frozen dataclass whose fields are its parameters, registered by kind
+    in ``RISK_KINDS``. The solver sees h only through phi(q) = h(sqrt(q)) on
+    the quadratic form q >= 0:
 
     - ``phi(q)`` accepts a float or an ndarray and returns the same shape;
     - ``dphi(q)`` is the float derivative h'(sqrt q) / (2 sqrt q), extended
@@ -74,30 +76,34 @@ class RiskWeighting:
     kind = "base"
     origin_slope = 0.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{f.name} must be finite and nonnegative")
+
     def phi(self, q):
         raise NotImplementedError
 
     def dphi(self, q: float) -> float:
         raise NotImplementedError
 
-    def params(self) -> dict:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params()}
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"kind": self.kind, **{k: v for k, v in values.items() if v is not None}}
 
 
 @dataclass(frozen=True)
 class LinearRisk(RiskWeighting):
     """h(t) = omega * t.
 
-    ``from_confidence`` derives omega = sqrt((1 - epsilon) / epsilon) from a
-    confidence level epsilon in (0, 1]; larger epsilon means less weight on
-    risk. The only weighting with h'(0) > 0, so the only one whose
-    objective is not differentiable where q vanishes.
+    Given a confidence level epsilon in (0, 1], omega = sqrt((1 - epsilon) /
+    epsilon); a given omega must then equal that value. Larger epsilon means
+    less weight on risk. The only weighting with h'(0) > 0, so the only one
+    whose objective is not differentiable where q vanishes.
     """
 
-    omega: float
+    omega: float | None = None
     epsilon: float | None = None
 
     kind = "linear"
@@ -105,14 +111,20 @@ class LinearRisk(RiskWeighting):
     _Q_FLOOR = 1e-300
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega >= 0.0):
-            raise ValueError("omega must be finite and nonnegative")
+        if self.epsilon is not None:
+            if not 0.0 < self.epsilon <= 1.0:
+                raise ValueError("confidence level epsilon must lie in (0, 1]")
+            omega = math.sqrt((1.0 - self.epsilon) / self.epsilon)
+            if self.omega not in (None, omega):
+                raise ValueError(f"omega {self.omega!r} disagrees with epsilon {self.epsilon!r}")
+            object.__setattr__(self, "omega", omega)
+        elif self.omega is None:
+            raise ValueError("linear risk needs omega or epsilon")
+        super().__post_init__()
 
     @classmethod
     def from_confidence(cls, epsilon: float) -> "LinearRisk":
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError("confidence level must lie in (0, 1]")
-        return cls(math.sqrt((1.0 - epsilon) / epsilon), float(epsilon))
+        return cls(epsilon=float(epsilon))
 
     @property
     def origin_slope(self) -> float:
@@ -128,33 +140,20 @@ class LinearRisk(RiskWeighting):
             return math.inf
         return self.omega / (2.0 * math.sqrt(q))
 
-    def params(self):
-        out = {"omega": self.omega}
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        return out
-
 
 @dataclass(frozen=True)
 class QuadraticRisk(RiskWeighting):
     """h(t) = omega * t**2, so phi(q) = omega * q: smooth everywhere."""
 
-    omega: float
+    omega: float = 1.0
 
     kind = "quad"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega >= 0.0):
-            raise ValueError("omega must be finite and nonnegative")
 
     def phi(self, q):
         return self.omega * q
 
     def dphi(self, q: float) -> float:
         return self.omega
-
-    def params(self):
-        return {"omega": self.omega}
 
 
 @dataclass(frozen=True)
@@ -167,13 +166,9 @@ class ExpThresholdRisk(RiskWeighting):
     h''(0) / 2 = 1/2 of expm1(t) / (2t).
     """
 
-    gamma: float
+    gamma: float = 0.0
 
     kind = "exp"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError("gamma must be finite and nonnegative")
 
     def phi(self, q):
         if isinstance(q, np.ndarray):
@@ -199,32 +194,36 @@ class ExpThresholdRisk(RiskWeighting):
         except OverflowError:
             return math.inf
 
-    def params(self):
-        return {"gamma": self.gamma}
+
+RISK_KINDS = {cls.kind: cls for cls in (LinearRisk, QuadraticRisk, ExpThresholdRisk)}
 
 
 def risk_from_dict(spec: dict) -> RiskWeighting:
     """Rebuild a risk weighting from its ``to_dict`` form.
 
-    Besides ``kind`` the keys must be fields of the weighting. The first
-    field is required, unless a linear spec gives ``epsilon``, which wins.
+    Besides ``kind`` the keys must be fields of the weighting, at least one
+    given, each a number; fields not given keep their defaults.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("risk spec must be a JSON object")
     kind = spec.get("kind")
-    cls = {c.kind: c for c in (LinearRisk, QuadraticRisk, ExpThresholdRisk)}.get(kind)
+    cls = RISK_KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown risk kind: {kind!r}")
     names = [f.name for f in fields(cls)]
     unknown = sorted(set(spec) - {"kind", *names})
     if unknown:
         raise ValueError(f"{kind} risk: unknown key {unknown[0]!r}")
-    key = "epsilon" if spec.get("epsilon") is not None else names[0]
-    if key not in spec:
-        raise ValueError(f"{kind} risk: missing key {key!r}")
-    try:
-        value = float(spec[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{kind} risk: {key!r} is not a number") from None
-    return LinearRisk.from_confidence(value) if key == "epsilon" else cls(value)
+    values = {}
+    for name in names:
+        if name in spec:
+            try:
+                values[name] = float(spec[name])
+            except (TypeError, ValueError):
+                raise ValueError(f"{kind} risk: {name!r} is not a number") from None
+    if not values:
+        raise ValueError(f"{kind} risk: missing key {names[0]!r}")
+    return cls(**values)
 
 
 def _frozen(x) -> np.ndarray:
@@ -301,14 +300,17 @@ def objective_max(inst: MeanRiskInstance, y, h: RiskWeighting) -> float:
 def solution_checks(inst: MeanRiskInstance, y) -> list[tuple[str, bool, str]]:
     """What a reported portfolio must satisfy, as ordered (label, ok, detail).
 
-    Length n, finite entries, y >= -1e-12, a'y at most b with a relative
-    and an absolute slack of 1e-9, and integer coordinates within 1e-9 of
-    an integer. Once the length or the finiteness check fails, each later
-    check reads (False, "not checked") and is not evaluated.
+    A list of n numbers, finite entries, y >= -1e-12, a'y at most b with a
+    relative and an absolute slack of 1e-9, and integer coordinates within
+    1e-9 of an integer. Once the length or the finiteness check fails, each
+    later check reads (False, "not checked") and is not evaluated.
     """
-    y = np.asarray(y, dtype=float)
     skip = (False, "not checked")
-    length = (y.shape == (inst.n,), f"got {y.shape}")
+    try:
+        y = np.asarray(y, dtype=float)
+        length = (y.shape == (inst.n,), f"got {y.shape}")
+    except (TypeError, ValueError):
+        length = (False, "not a list of numbers")
     finite = (bool(np.isfinite(y).all()), "") if length[0] else skip
     rest = [skip] * 3
     if finite[0]:

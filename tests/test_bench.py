@@ -89,6 +89,17 @@ def test_load_grid(tmp_path):
             "entry 0: exp risk: unknown key 'omega'",
         ),
         ([{"risk": {"kind": "linear", "omega": -1.0}}], "entry 0: omega must be"),
+        ([{"risk": {"kind": "quad"}, "warmstart": "bogus"}], "entry 0: 'bogus' is not a valid"),
+        ([{"risk": {"kind": "quad"}, "tol": 0}], "entry 0: tolerance must be positive"),
+        ([{"risk": {"kind": "quad"}, "time_limit": -1}], "entry 0: time limit must be positive"),
+        (
+            [{"risk": {"kind": "quad"}, "budget_multiplier": 0}],
+            "entry 0: budget multiplier must be positive",
+        ),
+        (
+            [{"risk": {"kind": "quad"}, "budget_multiplier": float("inf")}],
+            "entry 0: budget multiplier must be positive and finite",
+        ),
     ],
 )
 def test_load_grid_names_the_malformed_entry(tmp_path, entries, match):

@@ -8,8 +8,16 @@ import math
 import pytest
 
 from meanrisk.bnb import BnbConfig
-from meanrisk.cli import _Formatter, _setup_logging, _solve_config, build_parser, main
+from meanrisk.cli import (
+    _Formatter,
+    _risk_from_args,
+    _setup_logging,
+    _solve_config,
+    build_parser,
+    main,
+)
 from meanrisk.instances import dumps_instance, generate_instance
+from meanrisk.model import ExpThresholdRisk, LinearRisk, QuadraticRisk
 
 
 def _generate(tmp_path, name, **kwargs):
@@ -108,6 +116,14 @@ def test_solve_routes_exp_risk(tmp_path, capsys):
     assert report["risk"] == {"kind": "exp", "gamma": 1.0}
 
 
+def test_risk_flags_not_given_take_the_field_defaults():
+    parser = build_parser()
+    assert _risk_from_args(parser.parse_args(["solve", "--risk", "quad"])) == QuadraticRisk(1.0)
+    assert _risk_from_args(parser.parse_args(["solve", "--risk", "exp"])) == ExpThresholdRisk(0.0)
+    args = parser.parse_args(["solve", "--risk", "linear", "--epsilon", "0.95"])
+    assert _risk_from_args(args) == LinearRisk.from_confidence(0.95)
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -118,6 +134,17 @@ def test_linear_risk_flag_validation(tmp_path):
     assert main(base) == 1
     quad = ["solve", "--instance", str(inst_path), "--risk", "quad", "--gamma", "1.0"]
     assert main(quad) == 1
+
+
+def test_linear_risk_flags_may_give_both_forms_when_they_agree(tmp_path, capsys):
+    inst_path = _generate(tmp_path, "inst", n=3, seed=0, budget_mult=0.02)
+    base = ["solve", "--instance", str(inst_path), "--risk", "linear", "--epsilon", "0.95"]
+    capsys.readouterr()
+    assert main(base + ["--omega", "0.22941573387056188"]) == 0
+    assert json.loads(capsys.readouterr().out)["risk"] == {
+        "kind": "linear", "omega": 0.22941573387056188, "epsilon": 0.95
+    }
+    assert main(base + ["--omega", "0.2294157338705619"]) == 1
 
 
 def test_missing_instance_file_is_an_input_error(tmp_path):
@@ -189,21 +216,44 @@ def test_check_passes_then_flags_tampering(tmp_path, capsys):
     assert "FAIL objective consistent" in out
 
 
+def test_check_report_that_is_not_an_object_is_an_input_error(tmp_path, capsys):
+    inst_path = _generate(tmp_path, "inst", n=4, seed=4, int_frac=1.0, budget_mult=0.02)
+    report_path = tmp_path / "report.json"
+    args = ["solve", "--instance", str(inst_path), "--risk", "quad", "--out", str(report_path)]
+    assert main(args) == 0
+    doc = json.loads(report_path.read_text())
+    for bad, message in [
+        ([doc], "report must be a JSON object"),
+        (dict(doc, risk="quad"), "risk spec must be a JSON object"),
+    ]:
+        report_path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["check", "--instance", str(inst_path), "--report", str(report_path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"ERROR {message}"]
+
+
 @pytest.mark.parametrize(
-    "key, tamper, bad_line",
+    "key, tamper, bad_line, detail",
     [
-        ("y", lambda y: [math.inf] + y[1:], 2),
-        ("y", lambda y: [math.nan] + y[1:], 2),
-        ("y", lambda y: y[:3], 1),
-        ("objective_max", lambda v: None, 6),
-        ("return_term", lambda v: [v], 7),
-        ("nnz", lambda v: "many", 8),
-        ("max_entry", lambda v: {"value": v}, 9),
+        ("y", lambda y: [math.inf] + y[1:], 2, ""),
+        ("y", lambda y: [math.nan] + y[1:], 2, ""),
+        ("y", lambda y: y[:3], 1, "got (3,)"),
+        ("objective_max", lambda v: None, 6, "not a number"),
+        ("return_term", lambda v: [v], 7, "not a number"),
+        ("nnz", lambda v: "many", 8, "not a number"),
+        ("max_entry", lambda v: {"value": v}, 9, "not a number"),
+        ("y", lambda y: {}, 1, "not a list of numbers"),
+        ("y", lambda y: [{}] + y[1:], 1, "not a list of numbers"),
     ],
-    ids=["infinite", "nan", "short", "objective-null", "return-list", "nnz-text", "max-dict"],
+    ids=[
+        "infinite", "nan", "short", "objective-null", "return-list", "nnz-text", "max-dict",
+        "y-object", "y-entry-object",
+    ],
 )
 def test_check_reports_every_line_on_a_malformed_portfolio(
-    tmp_path, capsys, key, tamper, bad_line
+    tmp_path, capsys, key, tamper, bad_line, detail
 ):
     inst_path = _generate(tmp_path, "inst", n=4, seed=4, int_frac=1.0, budget_mult=0.02)
     report_path = tmp_path / "report.json"
@@ -231,10 +281,10 @@ def test_check_reports_every_line_on_a_malformed_portfolio(
         "max entry consistent",
     ]
     assert lines[bad_line].startswith("FAIL")
+    assert lines[bad_line].endswith(f" ({detail})" if detail else "entries")
     if key == "y":
         assert all(line.endswith("(not checked)") for line in lines[bad_line + 1 :])
     else:
-        assert lines[bad_line].endswith("consistent (not a number)")
         assert all(line.startswith("ok") for line in lines[:bad_line] + lines[bad_line + 1 :])
 
 
@@ -301,25 +351,30 @@ def test_bench_rejects_empty_glob(tmp_path):
 def test_bench_malformed_grid_is_an_input_error(tmp_path, capsys):
     _generate(tmp_path, "inst0", n=3, seed=0, int_frac=1.0, budget_mult=0.02)
     grid_path = tmp_path / "grid.json"
-    grid_path.write_text(
-        json.dumps({"configs": [{"risk": {"kind": "quad", "omega": 1.0}, "warm_start": "e1"}]})
-    )
-    rc = main(
-        [
-            "bench",
-            "--instances",
-            str(tmp_path / "inst*.json"),
-            "--grid",
-            str(grid_path),
-            "--out-records",
-            str(tmp_path / "r.csv"),
-            "--out-profile",
-            str(tmp_path / "p.csv"),
-        ]
-    )
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["ERROR grid entry 0: unknown key 'warm_start'"]
+    for entry, message in [
+        ({"warm_start": "e1"}, "unknown key 'warm_start'"),
+        # a bad solver setting fails at load, not as a column of error cells
+        ({"warmstart": "bogus"}, "'bogus' is not a valid WarmstartRule"),
+    ]:
+        entry = {"risk": {"kind": "quad", "omega": 1.0}, **entry}
+        grid_path.write_text(json.dumps({"configs": [entry]}))
+        rc = main(
+            [
+                "bench",
+                "--instances",
+                str(tmp_path / "inst*.json"),
+                "--grid",
+                str(grid_path),
+                "--out-records",
+                str(tmp_path / "r.csv"),
+                "--out-profile",
+                str(tmp_path / "p.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"ERROR grid entry 0: {message}"]
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_bench_bad_grid_risk_is_an_input_error(tmp_path, capsys):

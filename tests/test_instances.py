@@ -167,6 +167,23 @@ def test_out_of_range_indices_rejected(bad):
         instance_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n", [4]),
+        ("b", None),
+        ("r", [{}, 0.1, 0.2]),
+        ("integer_indices", [None]),
+        ("M", [[{}] * 3] * 3),
+    ],
+)
+def test_malformed_values_name_their_key(key, value):
+    doc = json.loads(dumps_instance(generate_instance(3, seed=0)))
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"instance key '{key}' must be"):
+        instance_from_dict(doc)
+
+
 def test_length_mismatches_rejected():
     doc = json.loads(dumps_instance(generate_instance(3, seed=0)))
     short = dict(doc, r=doc["r"][:2])

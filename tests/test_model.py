@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from meanrisk.model import (
     LinearRisk,
     MeanRiskInstance,
     QuadraticRisk,
+    RISK_KINDS,
     SimplexProblem,
     eval_f,
     fix_variable,
@@ -169,6 +171,8 @@ def test_risk_dict_round_trip():
         ({"kind": "quad", "omega": [1]}, "quad risk: 'omega' is not a number"),
         ({"kind": "exp", "gamma": None}, "exp risk: 'gamma' is not a number"),
         ({"kind": "linear", "epsilon": "high"}, "linear risk: 'epsilon' is not a number"),
+        ("quad", "risk spec must be a JSON object"),
+        (["linear", 0.95], "risk spec must be a JSON object"),
     ],
 )
 def test_risk_from_dict_names_the_bad_key(spec, match):
@@ -177,9 +181,72 @@ def test_risk_from_dict_names_the_bad_key(spec, match):
 
 
 def test_risk_from_dict_linear_epsilon_wins_over_omega():
-    h = risk_from_dict({"kind": "linear", "omega": 5.0, "epsilon": 0.95})
+    # epsilon decides omega: a spec that also gives omega must give that value
+    h = risk_from_dict({"kind": "linear", "omega": 0.22941573387056188, "epsilon": 0.95})
     assert h == LinearRisk.from_confidence(0.95)
-    assert risk_from_dict({"kind": "linear", "omega": 5.0, "epsilon": None}) == LinearRisk(5.0)
+    with pytest.raises(ValueError, match="'epsilon' is not a number"):
+        risk_from_dict({"kind": "linear", "omega": 5.0, "epsilon": None})
+
+
+def test_risk_to_dict_golden():
+    assert LinearRisk(0.7).to_dict() == {"kind": "linear", "omega": 0.7}
+    assert LinearRisk.from_confidence(0.95).to_dict() == {
+        "kind": "linear", "omega": 0.22941573387056188, "epsilon": 0.95
+    }
+    assert QuadraticRisk(2.0).to_dict() == {"kind": "quad", "omega": 2.0}
+    assert ExpThresholdRisk(1.5).to_dict() == {"kind": "exp", "gamma": 1.5}
+    # key order too, as a report writes it
+    assert list(LinearRisk(epsilon=0.95).to_dict()) == ["kind", "omega", "epsilon"]
+    assert risk_from_dict({"kind": "linear", "epsilon": 0.95}).omega == 0.22941573387056188
+
+
+def test_risk_field_defaults():
+    assert QuadraticRisk() == QuadraticRisk(1.0)
+    assert ExpThresholdRisk() == ExpThresholdRisk(0.0)
+    with pytest.raises(ValueError, match="needs omega or epsilon"):
+        LinearRisk()
+
+
+def test_linear_risk_forms_must_agree():
+    with pytest.raises(ValueError, match="disagrees"):
+        LinearRisk(2.0, 0.5)
+    with pytest.raises(ValueError, match="omega 5.0 disagrees with epsilon 0.95"):
+        risk_from_dict({"kind": "linear", "epsilon": 0.95, "omega": 5.0})
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        LinearRisk(1.0, epsilon=7.0)
+    for bad in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LinearRisk(epsilon=bad)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        LinearRisk(epsilon=1e-320)  # (1 - e) / e overflows
+    assert LinearRisk(0.0, 1.0) == LinearRisk(epsilon=1.0)
+
+
+_param = st.floats(0.0, 1e300)
+# (0, 1], short of the subnormals where (1 - e) / e overflows
+_confidence = st.floats(1e-300, 1.0)
+
+
+@st.composite
+def _any_weighting(draw):
+    """A weighting of any registered kind, from any one of its fields."""
+    cls = draw(st.sampled_from(list(RISK_KINDS.values())))
+    name = draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]))
+    return cls(**{name: draw(_confidence if name == "epsilon" else _param)})
+
+
+@given(h=_any_weighting())
+def test_risk_dict_round_trip_property(h):
+    doc = h.to_dict()
+    assert risk_from_dict(doc) == h
+    fields = [f.name for f in dataclasses.fields(h) if getattr(h, f.name) is not None]
+    assert list(doc) == ["kind", *fields]
+    assert RISK_KINDS[doc["kind"]] is type(h)
+
+
+@given(e=_confidence)
+def test_linear_omega_from_epsilon_is_bit_exact(e):
+    assert LinearRisk(epsilon=e).omega == math.sqrt((1.0 - e) / e)
 
 
 def _instance(n=3, seed=0, **overrides):
