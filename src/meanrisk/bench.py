@@ -8,12 +8,17 @@ run. Wall time is measured around the solve only, excluding parsing.
 Records CSV columns: instance, config, risk, risk_params, budget_mult,
 warmstart, monotone, status, wall_time, nodes, fw_iters, objective_max,
 return_term, nnz, max_entry, uncertified_leaves (blank numerics on failed
-cells). The solve columns are ``SolveReport.to_dict`` fields, with
-``fw_iters_total`` written as ``fw_iters``. ``load_grid`` checks each entry
-as it loads: its risk must pass ``model.risk_from_dict``, its solver settings
-``bnb.BnbConfig``, and a given budget multiplier must be positive and
-finite. A bad entry is an input error, not a column of failed cells.
-Profile CSV columns: solver_config, tau, fraction_solved.
+cells). warmstart and monotone are ``BnbConfig.to_dict`` fields, the solve
+columns ``SolveReport.to_dict`` fields with ``fw_iters_total`` written as
+``fw_iters``. Profile CSV columns: solver_config, tau, fraction_solved.
+
+A grid entry is flat: ``risk``, ``budget_multiplier``, ``name`` and the
+``bnb.BnbConfig`` field names, which replace those of ``CellConfig.solver``
+(so an entry without ``time_limit`` gets 600 s). ``load_grid`` checks each
+entry as it loads: its risk must pass ``model.risk_from_dict``, its solver
+settings ``bnb.BnbConfig`` (``monotone`` must be a JSON boolean), and a
+given budget multiplier must be positive and finite. A bad entry is an
+input error, not a column of failed cells.
 """
 
 from __future__ import annotations
@@ -68,10 +73,7 @@ class CellConfig:
     """One solver configuration cell of a benchmark grid."""
 
     risk: dict
-    warmstart: str = bnb.BnbConfig.warmstart.value
-    monotone: bool = False
-    tol: float = bnb.BnbConfig.tol
-    time_limit: float = 600.0
+    solver: bnb.BnbConfig = bnb.BnbConfig(time_limit=600.0)
     budget_multiplier: float | None = None  # overrides b := mult * sum(a)
     name: str = ""
 
@@ -82,8 +84,8 @@ class CellConfig:
         parts += [f"{k}{v:g}" for k, v in sorted(self.risk.items()) if k != "kind"]
         if self.budget_multiplier is not None:
             parts.append(f"b{self.budget_multiplier:g}")
-        parts.append(self.warmstart)
-        if self.monotone:
+        parts.append(self.solver.warmstart.value)
+        if self.solver.monotone:
             parts.append("monotone")
         return "-".join(parts)
 
@@ -91,27 +93,28 @@ class CellConfig:
         return ",".join(f"{k}={v:g}" for k, v in sorted(self.risk.items()) if k != "kind")
 
 
-def _solver_settings(cell: CellConfig) -> tuple[RiskWeighting, bnb.BnbConfig]:
-    """The cell's weighting and solver configuration, validated."""
+def _solver_settings(cell: CellConfig) -> RiskWeighting:
+    """The cell's weighting, validated, after checking its budget multiplier."""
     if cell.budget_multiplier is not None and not 0.0 < cell.budget_multiplier < math.inf:
         raise ValueError("budget multiplier must be positive and finite")
-    cfg = bnb.BnbConfig(
-        warmstart=bnb.WarmstartRule(cell.warmstart),
-        monotone=cell.monotone,
-        tol=cell.tol,
-        time_limit=cell.time_limit,
-    )
-    return risk_from_dict(cell.risk), cfg
+    return risk_from_dict(cell.risk)
+
+
+# a flat grid entry: CellConfig's own keys beside the BnbConfig field names
+_CELL_KEYS = {f.name for f in dataclasses.fields(CellConfig)} - {"solver"}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(bnb.BnbConfig)}
 
 
 def _grid_cell(i: int, entry) -> CellConfig:
     if not isinstance(entry, dict) or not isinstance(entry.get("risk"), dict):
         raise ValueError(f"grid entry {i} must be an object with a 'risk' object")
-    unknown = sorted(set(entry) - {f.name for f in dataclasses.fields(CellConfig)})
+    unknown = sorted(set(entry) - _CELL_KEYS - _SOLVER_KEYS)
     if unknown:
         raise ValueError(f"grid entry {i}: unknown key {unknown[0]!r}")
-    cell = CellConfig(**entry)
+    settings = {k: v for k, v in entry.items() if k in _SOLVER_KEYS}
     try:
+        solver = dataclasses.replace(CellConfig.solver, **settings)
+        cell = CellConfig(solver=solver, **{k: v for k, v in entry.items() if k in _CELL_KEYS})
         _solver_settings(cell)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"grid entry {i}: {exc}") from None
@@ -144,24 +147,21 @@ def epsilon_budget_grid(
 
 
 def _run_cell(task) -> dict:
-    path, cell_dict = task
-    cell = CellConfig(**cell_dict)
+    path, cell = task
     record = dict.fromkeys(RECORD_FIELDS, "")
     record.update(
         config=cell.label(),
         risk=cell.risk.get("kind", "?"),
         risk_params=cell.risk_params(),
         budget_mult="" if cell.budget_multiplier is None else cell.budget_multiplier,
-        warmstart=cell.warmstart,
-        monotone=cell.monotone,
     )
+    record.update((k, v) for k, v in cell.solver.to_dict().items() if k in record)
     try:
         inst = load_instance(path)
         record["instance"] = inst.name or str(path)
         if cell.budget_multiplier is not None:
             inst = dataclasses.replace(inst, b=cell.budget_multiplier * float(inst.a.sum()))
-        h, cfg = _solver_settings(cell)
-        report = bnb.solve(inst, h, cfg)
+        report = bnb.solve(inst, _solver_settings(cell), cell.solver)
         fields = report.to_dict()
         fields["fw_iters"] = fields.pop("fw_iters_total")
         record.update((k, v) for k, v in fields.items() if k in record)
@@ -174,9 +174,7 @@ def _run_cell(task) -> dict:
 
 def run_bench(instance_paths, cells, jobs: int = 1) -> list[dict]:
     """One record per (instance, config) cell, sorted for determinism."""
-    tasks = [
-        (str(path), dataclasses.asdict(cell)) for path in instance_paths for cell in cells
-    ]
+    tasks = [(str(path), cell) for path in instance_paths for cell in cells]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_cell, tasks))

@@ -75,7 +75,8 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class BnbConfig:
-    """``monotone`` selects the classical Armijo rule over the non-monotone
+    """``warmstart`` is a rule or its string value and is stored as the rule;
+    ``monotone`` selects the classical Armijo rule over the non-monotone
     test; ``tol`` is both the relaxation gap and the pruning margin."""
 
     warmstart: WarmstartRule = WarmstartRule.X_OR_PROJ
@@ -84,10 +85,19 @@ class BnbConfig:
     time_limit: float = 3600.0
 
     def __post_init__(self):
-        if not self.tol > 0.0:  # also rejects nan
-            raise ValueError("tolerance must be positive")
+        object.__setattr__(self, "warmstart", WarmstartRule(self.warmstart))
+        if not isinstance(self.monotone, bool):
+            raise ValueError(f"monotone must be a boolean, got {self.monotone!r}")
+        if not 0.0 < self.tol < math.inf:  # also rejects nan
+            raise ValueError("tolerance must be positive and finite")
         if not self.time_limit > 0.0:
             raise ValueError("time limit must be positive")
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields, in declaration order."""
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        doc["warmstart"] = self.warmstart.value
+        return doc
 
 
 @dataclass
@@ -401,8 +411,10 @@ def solve(
         if node_audit is not None:
             node_audit(p, res)
         bound = res.dual_bound
-        # ORIGIN_OPTIMAL stops here: its bound f(0), the empty portfolio's value, is >= greedy's
-        if res.status is fw.RelaxationStatus.PRUNED_BY_BOUND or bound >= threshold():
+        # PRUNED_BY_BOUND stops here: the incumbent cannot change during a
+        # relaxation, so its bound reached this threshold. So does
+        # ORIGIN_OPTIMAL: its bound f(0), the empty portfolio's value, is >= greedy's
+        if bound >= threshold():
             return _Outcome(bound=bound)
         y_star = sub.assemble(res.z_star * p.scale)
         relax_optimal = res.status is fw.RelaxationStatus.OPTIMAL

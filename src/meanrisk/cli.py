@@ -102,28 +102,17 @@ def _add_risk_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _solve_config(args) -> bnb.BnbConfig:
-    return bnb.BnbConfig(
-        warmstart=bnb.WarmstartRule(args.warmstart),
-        monotone=args.monotone,
-        tol=args.tol,
-        time_limit=args.time_limit,
-    )
+    fields = dataclasses.fields(bnb.BnbConfig)
+    return bnb.BnbConfig(**{f.name: getattr(args, f.name) for f in fields})
 
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     h = _risk_from_args(args)
-    report = bnb.solve(inst, h, _solve_config(args))
+    cfg = _solve_config(args)
+    report = bnb.solve(inst, h, cfg)
     doc = report.to_dict()
-    doc.update(
-        instance=inst.name,
-        n=inst.n,
-        risk=h.to_dict(),
-        warmstart=args.warmstart,
-        monotone=args.monotone,
-        tol=args.tol,
-        time_limit=args.time_limit,
-    )
+    doc.update(instance=inst.name, n=inst.n, risk=h.to_dict(), **cfg.to_dict())
     _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     if report.uncertified_leaves:
         log.warning(

@@ -134,7 +134,7 @@ class IterateState:
 
     __slots__ = ("p", "z", "Qz", "zQz", "cz", "muz", "sum_z", "f_hist", "k", "f_cur")
 
-    def __init__(self, p: SimplexProblem, z: np.ndarray, p_nm: int):
+    def __init__(self, p: SimplexProblem, z, p_nm: int = 1):
         self.p = p
         self.z = np.array(z, dtype=float)
         if self.z.shape != (p.dim,):
@@ -147,10 +147,6 @@ class IterateState:
         self.k = 0
         self.f_cur = self._objective(self.zQz, self.cz, self.muz)
         self.f_hist = deque([self.f_cur], maxlen=p_nm + 1)
-
-    @classmethod
-    def from_point(cls, p: SimplexProblem, z0, p_nm: int = 1) -> "IterateState":
-        return cls(p, np.asarray(z0, dtype=float), p_nm)
 
     def _objective(self, zQz: float, cz: float, muz: float) -> float:
         return self.p.h.phi(max(zQz + cz + self.p.d, 0.0)) - muz - self.p.t_off

@@ -98,6 +98,13 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _integer(value) -> int:
+    """A JSON integer as is; a float (even 3.0) or a bool is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError
+    return value
+
+
 def instance_from_dict(doc: dict) -> MeanRiskInstance:
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
@@ -107,7 +114,7 @@ def instance_from_dict(doc: dict) -> MeanRiskInstance:
     for key in ("n", "r", "a", "b", "integer_indices"):
         if key not in doc:
             raise ValueError(f"instance document is missing {key!r}")
-    n = _read(doc, "n", int, "an integer")
+    n = _read(doc, "n", _integer, "an integer")
     r = _read(doc, "r", _floats, "a list of numbers")
     a = _read(doc, "a", _floats, "a list of numbers")
     if r.shape != (n,) or a.shape != (n,):
@@ -125,7 +132,7 @@ def instance_from_dict(doc: dict) -> MeanRiskInstance:
         if np.any(np.triu(factor, 1) != 0.0):
             raise ValueError("M_factor must be lower-triangular")
         M = factor @ factor.T
-    idx = _read(doc, "integer_indices", lambda v: [int(i) for i in v], "a list of integers")
+    idx = _read(doc, "integer_indices", lambda v: [_integer(i) for i in v], "a list of integers")
     if any(not 1 <= i <= n for i in idx):
         raise ValueError("integer_indices must be 1-based indices in [1, n]")
     return MeanRiskInstance(

@@ -272,7 +272,10 @@ class MeanRiskInstance:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             raise ValueError("covariance must be positive definite") from None
-        iset = tuple(sorted({int(i) for i in self.integer_set}))
+        iset = tuple(self.integer_set)
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in iset):
+            raise ValueError("integer indices must be integers")
+        iset = tuple(sorted({int(i) for i in iset}))
         if iset and (iset[0] < 0 or iset[-1] >= n):
             raise ValueError("integer indices out of range")
         object.__setattr__(self, "r", _frozen(r))
@@ -387,12 +390,6 @@ class FixedSubproblem:
     @property
     def dim(self) -> int:
         return len(self.free_index_map)
-
-    def objective(self, x, h: RiskWeighting) -> float:
-        """Minimization objective at a free-variable completion x."""
-        x = np.asarray(x, dtype=float)
-        q = float(x @ self.M_s @ x + self.c_s @ x) + self.d_s
-        return h.phi(max(q, 0.0)) - float(self.r_s @ x) - self.t_s
 
     def assemble(self, x) -> np.ndarray:
         """Full original-units vector from the fixings plus a completion x."""

@@ -1,5 +1,6 @@
 """Benchmark harness: grids, record sweeps, profiles, CSV output."""
 
+import dataclasses
 import io
 import json
 
@@ -16,6 +17,7 @@ from meanrisk.bench import (
     write_profile_csv,
     write_records_csv,
 )
+from meanrisk.bnb import BnbConfig, WarmstartRule
 from meanrisk.instances import generate_instance, save_instance
 
 
@@ -38,8 +40,7 @@ def test_epsilon_budget_grid_is_three_by_three():
 def test_cell_label_and_params():
     cell = CellConfig(
         risk={"kind": "linear", "epsilon": 0.95},
-        warmstart="e1",
-        monotone=True,
+        solver=BnbConfig(warmstart="e1", monotone=True),
         budget_multiplier=10.0,
     )
     assert cell.label() == "linear-epsilon0.95-b10-e1-monotone"
@@ -55,14 +56,30 @@ def test_load_grid(tmp_path):
                 "configs": [
                     {"risk": {"kind": "quad", "omega": 1.0}},
                     {"risk": {"kind": "linear", "epsilon": 0.95}, "monotone": True},
+                    {
+                        "risk": {"kind": "quad", "omega": 1.0},
+                        "warmstart": "e1",
+                        "tol": 1e-8,
+                        "time_limit": 5.0,
+                        "budget_multiplier": 2.0,
+                        "name": "all",
+                    },
                 ]
             }
         )
     )
     cells = load_grid(path)
-    assert len(cells) == 2
+    assert len(cells) == 3
     assert cells[0].risk == {"kind": "quad", "omega": 1.0}
-    assert cells[1].monotone is True
+    # an entry without time_limit gets the grid's 600 s
+    assert cells[0].solver == BnbConfig(time_limit=600.0)
+    assert cells[1].solver == BnbConfig(monotone=True, time_limit=600.0)
+    assert cells[2] == CellConfig(
+        risk={"kind": "quad", "omega": 1.0},
+        solver=BnbConfig(warmstart=WarmstartRule.E1, tol=1e-8, time_limit=5.0),
+        budget_multiplier=2.0,
+        name="all",
+    )
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"configs": []}))
@@ -100,6 +117,19 @@ def test_load_grid(tmp_path):
             [{"risk": {"kind": "quad"}, "budget_multiplier": float("inf")}],
             "entry 0: budget multiplier must be positive and finite",
         ),
+        (
+            [{"risk": {"kind": "quad", "omega": 1.0}, "monotone": "false"}],
+            "entry 0: monotone must be a boolean",
+        ),
+        (
+            [{"risk": {"kind": "quad", "omega": 1.0}, "tol": float("inf")}],
+            "entry 0: tolerance must be positive and finite",
+        ),
+        (
+            [{"risk": {"kind": "quad", "omega": 1.0}, "warmstart": 5}],
+            "entry 0: 5 is not a valid WarmstartRule",
+        ),
+        ([{"risk": {"kind": "quad", "omega": 1.0}, "solver": {}}], "entry 0: unknown key 'solver'"),
     ],
 )
 def test_load_grid_names_the_malformed_entry(tmp_path, entries, match):
@@ -142,7 +172,11 @@ def test_run_bench_process_pool_matches_serial(tmp_path):
         paths.append(path)
     cells = [
         CellConfig(risk={"kind": "quad", "omega": 1.0}, name="q"),
-        CellConfig(risk={"kind": "linear", "epsilon": 0.95}, monotone=True, name="l"),
+        CellConfig(
+            risk={"kind": "linear", "epsilon": 0.95},
+            solver=dataclasses.replace(CellConfig.solver, monotone=True),
+            name="l",
+        ),
     ]
 
     def timeless(records):

@@ -339,9 +339,31 @@ def test_solve_warmstart_rules_agree():
 
 
 def test_config_validation():
-    for kwargs in ({"time_limit": 0.0}, {"time_limit": math.nan}, {"tol": 0.0}, {"tol": math.nan}):
+    for kwargs in (
+        {"time_limit": 0.0},
+        {"time_limit": math.nan},
+        {"tol": 0.0},
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"monotone": "false"},
+        {"monotone": 0},
+        {"warmstart": "bogus"},
+        {"warmstart": 5},
+    ):
         with pytest.raises(ValueError):
             BnbConfig(**kwargs)
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+@pytest.mark.parametrize("rule", list(WarmstartRule))
+def test_config_to_dict_round_trips(rule, monotone):
+    cfg = BnbConfig(warmstart=rule, monotone=monotone, tol=1e-8, time_limit=5.0)
+    doc = cfg.to_dict()
+    assert doc == {"warmstart": rule.value, "monotone": monotone, "tol": 1e-8, "time_limit": 5.0}
+    assert list(doc) == [f.name for f in dataclasses.fields(BnbConfig)]
+    assert BnbConfig(**doc) == cfg
+    assert BnbConfig(warmstart=rule.value) == BnbConfig(warmstart=rule)
+    assert BnbConfig(warmstart=rule.value).warmstart is rule
 
 
 def test_config_maps_onto_every_relaxation(monkeypatch):

@@ -172,6 +172,31 @@ def test_time_limit_exit_code(tmp_path):
     assert json.loads(report_path.read_text())["status"] == "time_limit"
 
 
+def test_solve_settings_the_config_rejects_are_input_errors(tmp_path, capsys):
+    inst_path = _generate(tmp_path, "inst", n=3, seed=0, budget_mult=0.02)
+    base = ["solve", "--instance", str(inst_path), "--risk", "quad"]
+    for flags, message in [
+        (["--tol", "inf"], "tolerance must be positive and finite"),
+        (["--tol", "0"], "tolerance must be positive and finite"),
+        (["--time-limit", "0"], "time limit must be positive"),
+    ]:
+        capsys.readouterr()
+        assert main(base + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"ERROR {message}"]
+        assert captured.out == ""
+
+
+def test_solve_report_echoes_the_config(tmp_path, capsys):
+    inst_path = _generate(tmp_path, "inst", n=3, seed=0, budget_mult=0.02)
+    flags = ["--warmstart", "e1", "--monotone", "--tol", "1e-8", "--time-limit", "60"]
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(inst_path), "--risk", "quad"] + flags) == 0
+    report = json.loads(capsys.readouterr().out)
+    expected = BnbConfig(warmstart="e1", monotone=True, tol=1e-8, time_limit=60.0).to_dict()
+    assert {key: report[key] for key in expected} == expected
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

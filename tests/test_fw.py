@@ -102,7 +102,7 @@ def test_config_validation(kwargs):
 def test_state_rejects_wrong_dimension():
     p = _problem(np.eye(2), [0.0, 0.0], QuadraticRisk(1.0), d=1.0)
     with pytest.raises(ValueError):
-        IterateState.from_point(p, [0.1, 0.1, 0.1])
+        IterateState(p, [0.1, 0.1, 0.1])
 
 
 # ------------------------------------------------------------ directions
@@ -153,7 +153,7 @@ def _toward_only(st, g):
 
 def test_toward_step_picks_most_negative_gradient_vertex():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [0.1, 0.2, 0.3])
+    st = IterateState(p, [0.1, 0.2, 0.3])
     g = np.array([1.0, -2.0, 3.0])
     kind, vertex, g_dot_d, alpha_max, gap, d_sq = _toward_only(st, g)
     assert kind is StepKind.TOWARD
@@ -169,7 +169,7 @@ def test_toward_step_picks_most_negative_gradient_vertex():
 
 def test_toward_step_returns_origin_when_gradient_nonnegative():
     p = _problem(np.eye(2), np.zeros(2), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [0.3, 0.4])
+    st = IterateState(p, [0.3, 0.4])
     g = np.array([1.0, 2.0])
     kind, vertex, _, _, gap, d_sq = _toward_only(st, g)
     assert kind is StepKind.TOWARD
@@ -183,7 +183,7 @@ def test_toward_step_returns_origin_when_gradient_nonnegative():
 
 def test_away_step_cap_for_unit_vertex():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [0.3, 0.2, 0.0])
+    st = IterateState(p, [0.3, 0.2, 0.0])
     g = np.array([5.0, 1.0, 0.0])
     kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, g, BETA)
     assert kind is StepKind.AWAY
@@ -196,7 +196,7 @@ def test_away_step_cap_for_unit_vertex():
 
 def test_away_step_cap_for_origin():
     p = _problem(np.eye(2), np.zeros(2), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [0.25, 0.25])
+    st = IterateState(p, [0.25, 0.25])
     # gradient negative on the whole support, so the origin is the away
     # vertex; equal entries make the away step tie the toward step
     g = np.array([-1.0, -1.0])
@@ -210,7 +210,7 @@ def test_away_step_cap_for_origin():
 
 def test_away_step_cap_saturates_at_sentinel():
     p = _problem(np.eye(2), np.zeros(2), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [1.0, 0.0])
+    st = IterateState(p, [1.0, 0.0])
     # a zero slope on the full vertex ties the away step with the toward step
     kind, vertex, _, alpha_max, _, _ = select_direction(st, np.array([0.0, 1.0]), BETA)
     assert kind is StepKind.AWAY
@@ -220,7 +220,7 @@ def test_away_step_cap_saturates_at_sentinel():
 
 def test_away_step_ignores_zero_coordinates():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [0.5, 0.3, 0.0])
+    st = IterateState(p, [0.5, 0.3, 0.0])
     rng = np.random.default_rng(7)
     aways = 0
     for _ in range(1000):
@@ -233,7 +233,7 @@ def test_away_step_ignores_zero_coordinates():
 
 def test_choose_direction_prefers_better_linearized_away():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [0.2, 0.3, 0.0])
+    st = IterateState(p, [0.2, 0.3, 0.0])
     g = np.array([-1.0, 5.0, -1.2])
     kind, vertex, g_dot_d, alpha_max, gap_ts, d_sq = select_direction(st, g, BETA)
     assert kind is StepKind.AWAY
@@ -247,7 +247,7 @@ def test_choose_direction_prefers_better_linearized_away():
 
 def test_choose_direction_keeps_toward_when_away_is_worse():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [0.2, 0.3, 0.0])
+    st = IterateState(p, [0.2, 0.3, 0.0])
     g = np.array([-1.0, 2.0, -5.0])
     kind, vertex, g_dot_d, alpha_max, gap_ts, _ = select_direction(st, g, BETA)
     assert kind is StepKind.TOWARD
@@ -259,7 +259,7 @@ def test_choose_direction_keeps_toward_when_away_is_worse():
 
 def test_choose_direction_blocks_tiny_away_caps():
     p = _problem(np.eye(3), np.zeros(3), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [0.2, 1e-9, 0.0])
+    st = IterateState(p, [0.2, 1e-9, 0.0])
     # the away step linearizes better but its cap 1e-9/(1-1e-9) is below beta
     kind, vertex, _, _, _, _ = select_direction(st, np.array([-1.0, 5.0, 0.0]), BETA)
     assert kind is StepKind.TOWARD
@@ -274,7 +274,7 @@ def test_fast_direction_matches_reference():
         z = _random_point(rng, dim)
         if trial % 25 == 0:
             z = np.zeros(dim)
-        st = IterateState.from_point(p, z)
+        st = IterateState(p, z)
         g = rng.standard_normal(dim)
         if trial % 7 == 0:
             g = np.abs(g)
@@ -294,7 +294,7 @@ def test_fast_direction_matches_reference():
 def test_line_search_accepts_unit_step_on_easy_descent():
     # 1-d: f(alpha) = alpha^2 - 2 alpha, full step passes on the first try
     p = _problem([[1.0]], [2.0], QuadraticRisk(1.0))
-    st = IterateState.from_point(p, [0.0])
+    st = IterateState(p, [0.0])
     alpha, halvings = line_search(
         p, st, 0, StepKind.TOWARD, g_dot_d=-2.0, d_sq=1.0, alpha_max=1.0
     )
@@ -310,7 +310,7 @@ def test_line_search_nonmonotone_accepts_what_monotone_rejects():
     # monotone threshold f(z) = 4.6096 forces alpha down to 0.0625.
     def prepared_state(p_nm):
         p = _problem(np.diag([12.0, 12.0]), [3.0, 1.0], QuadraticRisk(1.0), d=1.0)
-        st = IterateState.from_point(p, [0.5, 0.5], p_nm=p_nm)
+        st = IterateState(p, [0.5, 0.5], p_nm=p_nm)
         st.apply_step(None, StepKind.TOWARD, 0.04)
         return p, st
 
@@ -341,7 +341,7 @@ def test_line_search_accepted_steps_hold_on_reevaluation():
     for trial in range(200):
         dim = int(rng.integers(2, 11))
         p = _random_problem(rng, dim, _RISKS[trial % 3])
-        st = IterateState.from_point(p, _random_point(rng, dim), p_nm=trial % 2)
+        st = IterateState(p, _random_point(rng, dim), p_nm=trial % 2)
         g = st.gradient()
         kind, vertex, g_dot_d, alpha_max, _, _ = select_direction(st, g, BETA)
         if g_dot_d >= 0.0:
@@ -362,7 +362,7 @@ def test_line_search_stall_raises():
     # a wildly wrong slope estimate makes the acceptance threshold
     # unreachable at every stepsize; the halving budget must trip
     p = _problem(np.eye(2), np.zeros(2), QuadraticRisk(1.0), d=1.0)
-    st = IterateState.from_point(p, [0.5, 0.25])
+    st = IterateState(p, [0.5, 0.25])
     with pytest.raises(LineSearchStall):
         line_search(p, st, 0, StepKind.TOWARD, g_dot_d=-1e308, d_sq=1.0, alpha_max=1.0)
 
@@ -388,7 +388,7 @@ def test_line_search_finds_the_step_the_scan_finds():
     for trial in range(1000):
         dim = int(rng.integers(2, 13))
         p = _random_problem(rng, dim, _RISKS[trial % 3])
-        st = IterateState.from_point(p, _random_point(rng, dim), p_nm=(trial // 3) % 2)
+        st = IterateState(p, _random_point(rng, dim), p_nm=(trial // 3) % 2)
         # one accepted step first, so that the memory holds a value above f
         kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, st.gradient(), BETA)
         if g_dot_d < 0.0:
@@ -437,7 +437,7 @@ def test_line_search_needs_about_two_trials_on_a_tight_root(monkeypatch):
 def test_apply_step_origin_scaling_identities():
     rng = np.random.default_rng(5)
     p = _random_problem(rng, 5, QuadraticRisk(1.0))
-    st = IterateState.from_point(p, _random_point(rng, 5))
+    st = IterateState(p, _random_point(rng, 5))
     zQz, cz, muz, sum_z = st.zQz, st.cz, st.muz, st.sum_z
     alpha = 0.3
     st.apply_step(None, StepKind.TOWARD, alpha)
@@ -451,7 +451,7 @@ def test_apply_step_origin_scaling_identities():
 def test_apply_step_full_step_lands_exactly_on_vertex():
     rng = np.random.default_rng(6)
     p = _random_problem(rng, 4, LinearRisk(1.0))
-    st = IterateState.from_point(p, _random_point(rng, 4))
+    st = IterateState(p, _random_point(rng, 4))
     st.apply_step(2, StepKind.TOWARD, 1.0)
     e = np.array([0.0, 0.0, 1.0, 0.0])
     np.testing.assert_array_equal(st.z, e)
@@ -463,7 +463,7 @@ def test_apply_step_full_step_lands_exactly_on_vertex():
 def test_apply_step_cache_drift_after_500_random_steps():
     rng = np.random.default_rng(21)
     p = _random_problem(rng, 30, QuadraticRisk(1.0))
-    st = IterateState.from_point(p, np.full(30, 1.0 / 60.0))
+    st = IterateState(p, np.full(30, 1.0 / 60.0))
     for _ in range(500):
         if rng.random() < 0.55:
             vertex = None if rng.random() < 0.15 else int(rng.integers(30))

@@ -175,6 +175,11 @@ def test_out_of_range_indices_rejected(bad):
         ("r", [{}, 0.1, 0.2]),
         ("integer_indices", [None]),
         ("M", [[{}] * 3] * 3),
+        ("n", 3.7),
+        ("n", 3.0),
+        ("n", True),
+        ("integer_indices", [1.9, 2.5]),
+        ("integer_indices", [True]),
     ],
 )
 def test_malformed_values_name_their_key(key, value):

@@ -277,6 +277,10 @@ def test_instance_validation():
         _instance(M=-np.eye(3))
     with pytest.raises(ValueError):
         _instance(integer_set=(3,))
+    for iset in [(1.9,), (True,), (0, 1.0)]:
+        with pytest.raises(ValueError, match="integer indices must be integers"):
+            _instance(integer_set=iset)
+    assert _instance(integer_set=np.array([2, 0])).integer_set == (0, 2)
     with pytest.raises(ValueError):
         _instance(r=np.ones(2))
 
@@ -373,12 +377,13 @@ def test_fix_variable_chain_matches_full_objective():
     sub = fix_variable(FixedSubproblem.root(inst), 2, 1)
     sub = fix_variable(sub, 0, 2)
     assert sub.fixings == ((2, 1), (0, 2))
+    p = simplex_transform(sub, h)  # the node objective bnb evaluates
     worst = 0.0
     for _ in range(50):
         x = rng.uniform(0.0, 2.0, sub.dim)
         y = sub.assemble(x)
         assert y[2] == 1.0 and y[0] == 2.0
-        lhs = sub.objective(x, h)
+        lhs = eval_f(p, x / p.scale)
         rhs = objective_min(inst, y, h)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     assert worst <= 1e-10
