@@ -16,7 +16,6 @@ from .bnb import (
     solve,
 )
 from .fw import (
-    FwConfig,
     OriginCheck,
     RelaxationResult,
     RelaxationStatus,
@@ -53,7 +52,6 @@ __all__ = [
     "WarmstartRule",
     "greedy_upper_bound",
     "solve",
-    "FwConfig",
     "OriginCheck",
     "RelaxationResult",
     "RelaxationStatus",

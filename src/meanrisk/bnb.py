@@ -54,11 +54,6 @@ __all__ = [
 
 log = logging.getLogger("meanrisk.bnb")
 
-# Node relaxations run with the slow-drift exit armed: a node that inches
-# along at O(1/k) still hands back a valid dual bound, and any surviving
-# leaf gets re-polished before its value is trusted.
-_DRIFT_WINDOW = 200
-
 
 class WarmstartRule(Enum):
     E1 = "e1"
@@ -361,9 +356,6 @@ def solve(
     """
     t_start = time.monotonic()
     deadline = t_start + cfg.time_limit
-    relax_cfg = fw.FwConfig(
-        p_nm=0 if cfg.monotone else 1, gap_tol=cfg.tol, drift_window=_DRIFT_WINDOW
-    )
     integer = frozenset(inst.integer_set)
     int_idx = np.array(inst.integer_set, dtype=np.intp)
     inc = greedy_upper_bound(inst, h)
@@ -406,7 +398,9 @@ def solve(
 
         p = simplex_transform(sub, h)
         z0 = warmstart_point(sub, p, parent_y, cfg.warmstart, h)
-        res = fw.solve_relaxation(p, z0, prune_threshold=threshold(), cfg=relax_cfg)
+        res = fw.solve_relaxation(
+            p, z0, prune_threshold=threshold(), monotone=cfg.monotone, gap_tol=cfg.tol
+        )
         fw_iters += res.iters
         if node_audit is not None:
             node_audit(p, res)

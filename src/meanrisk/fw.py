@@ -6,8 +6,9 @@ touches the weighting only through ``phi`` and ``dphi``. Each iteration picks
 the better of a toward step (best vertex for the linearized objective,
 including the origin) and an away step (move mass off the worst active
 vertex), then takes the first stepsize alpha_max * DELTA^j that passes an
-Armijo test against the maximum of the last few objective values rather than
-the current one, which lets the iterate climb briefly out of bad corners.
+Armijo test against the larger of the current and the previous objective
+value rather than the current one alone (a memory of one value), which lets
+the iterate climb briefly out of bad corners; ``monotone`` drops the memory.
 
 Because f is convex along the step, the passing stepsizes form an interval,
 so the line search predicts j from a quadratic model and confirms it with
@@ -41,7 +42,6 @@ __all__ = [
     "GAMMA1",
     "GAMMA2",
     "BETA",
-    "FwConfig",
     "StepKind",
     "RelaxationStatus",
     "LineSearchStall",
@@ -70,6 +70,12 @@ GAMMA2 = 1e-6
 BETA = 1e-6
 _STALL_ALPHA = 1e-10
 _STALL_PATIENCE = 50
+_MAX_ITER = 50_000
+# A relaxation given a prune threshold serves a branch-and-bound node and runs
+# with the slow-drift exit armed: a node that inches along at O(1/k) still
+# hands back a valid dual bound, and bnb re-polishes any surviving leaf before
+# its value is trusted.
+_DRIFT_WINDOW = 200
 _DRIFT_MIN_SHRINK = 0.15
 
 
@@ -89,52 +95,18 @@ class RelaxationStatus(Enum):
     ORIGIN_OPTIMAL = "origin_optimal"
 
 
-@dataclass(frozen=True)
-class FwConfig:
-    """Settings of one relaxation solve.
-
-    ``p_nm`` is the length of the objective-value memory behind the
-    non-monotone acceptance test; 0 recovers the classical monotone Armijo
-    rule. ``self_check`` re-verifies every accepted step against a
-    from-scratch objective evaluation (slow; meant for audits and tests).
-    The Armijo and away-step constants are module constants, not settings.
-
-    ``drift_window`` > 0 arms an early-exit heuristic: if the bracket
-    between the best objective seen and the dual bound shrinks by less
-    than 15% over that many iterations, the solve stops with ITER_LIMIT
-    and the (still valid) dual bound. Useful inside branch and bound,
-    where slow tail convergence buys nothing; leave at 0 when the caller
-    needs the tightest certificate the arithmetic can deliver.
-    """
-
-    p_nm: int = 1
-    gap_tol: float = 1e-10
-    max_iter: int = 50_000
-    self_check: bool = False
-    drift_window: int = 0
-
-    def __post_init__(self):
-        if self.p_nm < 0:
-            raise ValueError("p_nm must be nonnegative")
-        if self.gap_tol <= 0.0:
-            raise ValueError("gap_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.drift_window < 0:
-            raise ValueError("drift_window must be nonnegative")
-
-
 class IterateState:
     """Mutable solver iterate with O(1)-update caches.
 
     Keeps Qz, z'Qz, c'z, mu'z and sum(z) in sync with z so a trial objective
-    costs O(1) and a full step costs O(dim). ``f_hist`` holds the most recent
-    objective values (current included) feeding the non-monotone threshold.
+    costs O(1) and a full step costs O(dim). ``f_hist`` holds the objective
+    values feeding the acceptance threshold: the current one and, unless
+    ``monotone``, the previous one.
     """
 
-    __slots__ = ("p", "z", "Qz", "zQz", "cz", "muz", "sum_z", "f_hist", "k", "f_cur")
+    __slots__ = ("p", "z", "Qz", "zQz", "cz", "muz", "sum_z", "f_hist", "f_cur")
 
-    def __init__(self, p: SimplexProblem, z, p_nm: int = 1):
+    def __init__(self, p: SimplexProblem, z, monotone: bool = False):
         self.p = p
         self.z = np.array(z, dtype=float)
         if self.z.shape != (p.dim,):
@@ -144,9 +116,8 @@ class IterateState:
         self.cz = float(p.c @ self.z)
         self.muz = float(p.mu @ self.z)
         self.sum_z = float(self.z.sum())
-        self.k = 0
         self.f_cur = self._objective(self.zQz, self.cz, self.muz)
-        self.f_hist = deque([self.f_cur], maxlen=p_nm + 1)
+        self.f_hist = deque([self.f_cur], maxlen=1 if monotone else 2)
 
     def _objective(self, zQz: float, cz: float, muz: float) -> float:
         return self.p.h.phi(max(zQz + cz + self.p.d, 0.0)) - muz - self.p.t_off
@@ -202,7 +173,6 @@ class IterateState:
         self.zQz, self.cz, self.muz, self.sum_z = zQz, cz, muz, sum_z
         self.f_cur = self._objective(zQz, cz, muz)
         self.f_hist.append(self.f_cur)
-        self.k += 1
 
     def cache_errors(self) -> dict[str, float]:
         """Relative drift of every cache versus a from-scratch recomputation."""
@@ -413,7 +383,12 @@ def _origin_nnls(Q: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float, np.n
 
 @dataclass
 class RelaxationDiagnostics:
-    """Per-iteration traces, populated when passed to the solver."""
+    """Per-iteration traces, populated when passed to the solver.
+
+    Passing them also makes the solver re-verify every accepted step against
+    a from-scratch objective evaluation, raising ``AssertionError`` on a
+    violation (O(dim^2) per step; meant for audits and tests).
+    """
 
     f: list = field(default_factory=list)
     f_bar: list = field(default_factory=list)
@@ -496,7 +471,9 @@ def solve_relaxation(
     p: SimplexProblem,
     z0,
     prune_threshold: float | None = None,
-    cfg: FwConfig = FwConfig(),
+    *,
+    monotone: bool = False,
+    gap_tol: float = 1e-10,
     diag: RelaxationDiagnostics | None = None,
 ) -> RelaxationResult:
     """Solve the relaxation from any feasible starting point.
@@ -505,15 +482,26 @@ def solve_relaxation(
     gives ``RelaxationResult.at_origin`` (``ORIGIN_OPTIMAL``, no iterations);
     with d = 0 but c != 0 (never a bnb node) z0 must avoid the origin.
     Otherwise the loop runs from ``_repair_start(z0)`` until the toward-step
-    gap certifies optimality within ``gap_tol``, the running dual bound (max
-    over iterations of f + gap) reaches ``prune_threshold``, or the iteration
-    limit. The dual bound is a valid lower bound on the optimal value in every
-    case, including early aborts on numerical breakdown.
+    gap certifies optimality within ``gap_tol`` (positive and finite), the
+    running dual bound (max over iterations of f + gap) reaches
+    ``prune_threshold``, or ``_MAX_ITER`` iterations. ``monotone`` selects the
+    classical Armijo test over the non-monotone one.
+
+    A ``prune_threshold`` also arms the slow-drift exit, which stops with
+    ``ITER_LIMIT`` once the bracket between the best objective seen and the
+    dual bound shrinks by less than ``_DRIFT_MIN_SHRINK`` over
+    ``_DRIFT_WINDOW`` iterations; without one the solve runs on toward its
+    certificate. ``diag``, when given, records the per-iteration traces and
+    re-verifies every accepted step from scratch. The dual bound is a valid
+    lower bound on the optimal value in every case, including early aborts
+    on numerical breakdown.
     """
+    if not 0.0 < gap_tol < math.inf:  # also rejects nan
+        raise ValueError("gap_tol must be positive and finite")
     origin = origin_optimality_check(p) if p.d == 0.0 and not p.c.any() else None
     if origin is not None and origin.origin_optimal:
         return RelaxationResult.at_origin(p)
-    st = IterateState(p, _repair_start(p, np.asarray(z0, dtype=float), origin), cfg.p_nm)
+    st = IterateState(p, _repair_start(p, np.asarray(z0, dtype=float), origin), monotone)
     if p.d == 0.0 and st.sum_z == 0.0:
         raise ValueError("start point must avoid the origin when d = 0 and c != 0")
     dual = -math.inf
@@ -525,13 +513,13 @@ def solve_relaxation(
     #    the iterate frozen (always on),
     #  - ill-conditioned nodes (tiny lambda_min(Q)) drift at O(1/k) toward a
     #    face-interior optimum, so closing the last decades of gap would take
-    #    ~1e7 iterations; when drift_window > 0, stop once the bracket
+    #    ~1e7 iterations; with a prune threshold, stop once the bracket
     #    f_best - dual shrinks too slowly across a window.
     f_best = st.f_cur
     stalled = 0
     u_prev = math.inf
-    next_check = cfg.drift_window if cfg.drift_window > 0 else cfg.max_iter + 1
-    for _ in range(cfg.max_iter):
+    next_check = _DRIFT_WINDOW if prune_threshold is not None else math.inf
+    for _ in range(_MAX_ITER):
         iters += 1
         g = st.gradient()
         if not math.isfinite(float(g.sum())):
@@ -544,7 +532,7 @@ def solve_relaxation(
             diag.f_bar.append(st.f_bar())
             diag.gap_ts.append(gap_ts)
             diag.dual.append(dual)
-        if gap_ts >= -cfg.gap_tol:
+        if gap_ts >= -gap_tol:
             status = RelaxationStatus.OPTIMAL
             break
         if prune_threshold is not None and dual >= prune_threshold:
@@ -561,18 +549,16 @@ def solve_relaxation(
                 )
                 break
             u_prev = u
-            next_check = iters + cfg.drift_window
-        f_bar = st.f_bar()
+            next_check = iters + _DRIFT_WINDOW
         try:
             alpha, halvings = line_search(p, st, vertex, kind, g_dot_d, d_sq, alpha_max)
         except LineSearchStall:
             log.warning("line search stalled; node keeps its last valid bound")
             break
+        st.apply_step(vertex, kind, alpha)
         if diag is not None:
             diag.halvings.append(halvings)
-        st.apply_step(vertex, kind, alpha)
-        if cfg.self_check:
-            _verify_step(p, st, f_bar, kind, g_dot_d, alpha, d_sq)
+            _verify_step(p, st, diag.f_bar[-1], kind, g_dot_d, alpha, d_sq)
         if st.f_cur < f_best - 2.0**-50 * (1.0 + abs(f_best)):
             f_best = st.f_cur
             stalled = 0

@@ -202,7 +202,8 @@ def risk_from_dict(spec: dict) -> RiskWeighting:
     """Rebuild a risk weighting from its ``to_dict`` form.
 
     Besides ``kind`` the keys must be fields of the weighting, at least one
-    given, each a number; fields not given keep their defaults.
+    given, each a real number (a numpy scalar too, but no bool or string);
+    fields not given keep their defaults.
     """
     if not isinstance(spec, dict):
         raise ValueError("risk spec must be a JSON object")
@@ -217,10 +218,12 @@ def risk_from_dict(spec: dict) -> RiskWeighting:
     values = {}
     for name in names:
         if name in spec:
-            try:
-                values[name] = float(spec[name])
-            except (TypeError, ValueError):
-                raise ValueError(f"{kind} risk: {name!r} is not a number") from None
+            value = spec[name]
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)
+            ):
+                raise ValueError(f"{kind} risk: {name!r} is not a number")
+            values[name] = float(value)
     if not values:
         raise ValueError(f"{kind} risk: missing key {names[0]!r}")
     return cls(**values)

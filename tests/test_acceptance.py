@@ -39,17 +39,15 @@ from meanrisk.model import (
 from meanrisk.oracle import oracle_solve
 from meanrisk.projection import project_capped_simplex
 
-SELF_CHECK_CFG = fw.FwConfig(self_check=True)
-
 
 @pytest.fixture(scope="module")
 def relaxation_runs():
     """The 50 certification problems solved to a 1e-10 gap with per-step
-    re-verification armed and full diagnostic traces recorded."""
+    re-verification and full diagnostic traces, both armed by ``diag``."""
     runs = []
     for label, p, z_target in certification_cases():
         diag = fw.RelaxationDiagnostics()
-        res = fw.solve_relaxation(p, np.full(p.dim, 0.5 / p.dim), cfg=SELF_CHECK_CFG, diag=diag)
+        res = fw.solve_relaxation(p, np.full(p.dim, 0.5 / p.dim), diag=diag)
         runs.append((label, p, z_target, res, diag))
     return runs
 
@@ -121,10 +119,9 @@ def test_04_caches_match_scratch_recomputation(relaxation_runs, solver_runs):
 
 
 def test_05_accepted_steps_pass_reverification(relaxation_runs):
-    # self_check re-evaluates every accepted step from scratch inside the
-    # solver and raises on any violation, so the fixture having been built
-    # at all is the per-step evidence; the halving bound is audited here.
-    assert SELF_CHECK_CFG.self_check is True
+    # a solve given diagnostics re-evaluates every accepted step from scratch
+    # and raises on any violation, so the fixture having been built at all is
+    # the per-step evidence; the halving bound is audited here.
     total_steps = 0
     for _, _, _, _, diag in relaxation_runs:
         if diag.halvings:
@@ -144,7 +141,7 @@ def test_06_reference_sequence_monotone(relaxation_runs):
     total_ties = 0
     for _, p, _, _, _ in relaxation_runs:
         diag = fw.RelaxationDiagnostics()
-        fw.solve_relaxation(p, np.full(p.dim, 0.5 / p.dim), cfg=fw.FwConfig(p_nm=0), diag=diag)
+        fw.solve_relaxation(p, np.full(p.dim, 0.5 / p.dim), monotone=True, diag=diag)
         f = np.asarray(diag.f)
         steps = np.diff(f)
         assert np.all(steps <= 0.0)

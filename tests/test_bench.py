@@ -130,6 +130,8 @@ def test_load_grid(tmp_path):
             "entry 0: 5 is not a valid WarmstartRule",
         ),
         ([{"risk": {"kind": "quad", "omega": 1.0}, "solver": {}}], "entry 0: unknown key 'solver'"),
+        ([{"risk": {"kind": "quad", "omega": "2"}}], "entry 0: quad risk: 'omega' is not a number"),
+        ([{"risk": {"kind": "quad", "omega": True}}], "entry 0: quad risk: 'omega' is not a number"),
     ],
 )
 def test_load_grid_names_the_malformed_entry(tmp_path, entries, match):

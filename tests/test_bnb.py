@@ -367,26 +367,27 @@ def test_config_to_dict_round_trips(rule, monotone):
 
 
 def test_config_maps_onto_every_relaxation(monkeypatch):
-    # the drift exit must stay armed: without it a node can run up to
-    # max_iter Frank-Wolfe iterations
+    # every relaxation gets a threshold, which arms the drift exit: without
+    # it a node can run up to fw._MAX_ITER Frank-Wolfe iterations
     seen = []
     solve_relaxation = bnb.fw.solve_relaxation
 
-    def captured(p, z0, prune_threshold=None, cfg=None, **kwargs):
-        res = solve_relaxation(p, z0, prune_threshold=prune_threshold, cfg=cfg, **kwargs)
-        seen.append((cfg, prune_threshold))
+    def captured(p, z0, prune_threshold=None, **kwargs):
+        res = solve_relaxation(p, z0, prune_threshold, **kwargs)
+        seen.append((kwargs, prune_threshold))
         return res
 
     monkeypatch.setattr(bnb.fw, "solve_relaxation", captured)
     inst = small_domain_instance(0)
     h = QuadraticRisk(1.0)
     incumbent = greedy_upper_bound(inst, h).value_min
-    for cfg, p_nm, gap_tol in (
-        (BnbConfig(), 1, 1e-10),
-        (BnbConfig(monotone=True, tol=1e-8), 0, 1e-8),
+    for cfg, monotone, gap_tol in (
+        (BnbConfig(), False, 1e-10),
+        (BnbConfig(monotone=True, tol=1e-8), True, 1e-8),
     ):
         seen.clear()
         solve(inst, h, cfg)
-        assert {(c.p_nm, c.gap_tol, c.drift_window) for c, _ in seen} == {(p_nm, gap_tol, 200)}
+        assert {(kw["monotone"], kw["gap_tol"]) for kw, _ in seen} == {(monotone, gap_tol)}
+        assert all(threshold is not None for _, threshold in seen)
         # the root relaxation runs against the greedy incumbent
         assert seen[0][1] == incumbent - cfg.tol

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import lsq_linear
 
 from conftest import interior_quad_problem, origin_grid_verdict, random_spd
+from meanrisk import fw
 from meanrisk.fw import (
     ALPHA_CAP,
     BETA,
@@ -14,7 +15,6 @@ from meanrisk.fw import (
     GAMMA1,
     GAMMA2,
     MAX_HALVINGS,
-    FwConfig,
     IterateState,
     LineSearchStall,
     RelaxationDiagnostics,
@@ -77,26 +77,26 @@ _RISKS = (LinearRisk(1.0), QuadraticRisk(1.0), ExpThresholdRisk(1.0))
 
 def test_config_defaults():
     assert (DELTA, GAMMA1, GAMMA2, BETA) == (0.5, 1e-4, 1e-6, 1e-6)
-    cfg = FwConfig()
-    assert cfg.p_nm == 1
-    assert cfg.gap_tol == 1e-10
-    assert cfg.max_iter == 50_000
-    assert cfg.self_check is False
-    assert cfg.drift_window == 0
+    assert (fw._MAX_ITER, fw._DRIFT_WINDOW, fw._DRIFT_MIN_SHRINK) == (50_000, 200, 0.15)
+    # the non-monotone test remembers one value besides the current one
+    p = _problem(np.eye(2), [0.0, 0.0], QuadraticRisk(1.0), d=1.0)
+    assert IterateState(p, [0.1, 0.1]).f_hist.maxlen == 2
+    assert IterateState(p, [0.1, 0.1], monotone=True).f_hist.maxlen == 1
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"p_nm": -1},
         {"gap_tol": 0.0},
-        {"max_iter": 0},
-        {"drift_window": -1},
+        {"gap_tol": -1.0},
+        {"gap_tol": math.nan},
+        {"gap_tol": math.inf},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        FwConfig(**kwargs)
+    p = _problem(np.eye(2), [1.0, 0.5], QuadraticRisk(1.0))
+    with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
+        solve_relaxation(p, [1.0 / 3.0, 1.0 / 3.0], **kwargs)
 
 
 def test_state_rejects_wrong_dimension():
@@ -308,13 +308,13 @@ def test_line_search_nonmonotone_accepts_what_monotone_rejects():
     # vertex 0 needs f to rise above f(z) before it pays off: the memory-1
     # threshold max(f(0.48..), f(0.5..)) = 5 admits alpha = 0.25, while the
     # monotone threshold f(z) = 4.6096 forces alpha down to 0.0625.
-    def prepared_state(p_nm):
+    def prepared_state(monotone):
         p = _problem(np.diag([12.0, 12.0]), [3.0, 1.0], QuadraticRisk(1.0), d=1.0)
-        st = IterateState(p, [0.5, 0.5], p_nm=p_nm)
+        st = IterateState(p, [0.5, 0.5], monotone=monotone)
         st.apply_step(None, StepKind.TOWARD, 0.04)
         return p, st
 
-    p, st = prepared_state(p_nm=1)
+    p, st = prepared_state(monotone=False)
     assert st.f_bar() == pytest.approx(5.0, abs=1e-12)
     assert st.f_cur == pytest.approx(4.6096, abs=1e-12)
     g = st.gradient()
@@ -329,7 +329,7 @@ def test_line_search_nonmonotone_accepts_what_monotone_rejects():
     assert st.trial_objective(0, alpha) > st.f_cur
     assert st.trial_objective(0, alpha) <= st.f_bar()
 
-    p, st = prepared_state(p_nm=0)
+    p, st = prepared_state(monotone=True)
     assert st.f_bar() == pytest.approx(4.6096, abs=1e-12)
     alpha, halvings = line_search(p, st, 0, StepKind.TOWARD, g_dot_d, d_sq, alpha_max=1.0)
     assert alpha == 0.0625
@@ -341,7 +341,7 @@ def test_line_search_accepted_steps_hold_on_reevaluation():
     for trial in range(200):
         dim = int(rng.integers(2, 11))
         p = _random_problem(rng, dim, _RISKS[trial % 3])
-        st = IterateState(p, _random_point(rng, dim), p_nm=trial % 2)
+        st = IterateState(p, _random_point(rng, dim), monotone=trial % 2 == 0)
         g = st.gradient()
         kind, vertex, g_dot_d, alpha_max, _, _ = select_direction(st, g, BETA)
         if g_dot_d >= 0.0:
@@ -388,7 +388,7 @@ def test_line_search_finds_the_step_the_scan_finds():
     for trial in range(1000):
         dim = int(rng.integers(2, 13))
         p = _random_problem(rng, dim, _RISKS[trial % 3])
-        st = IterateState(p, _random_point(rng, dim), p_nm=(trial // 3) % 2)
+        st = IterateState(p, _random_point(rng, dim), monotone=(trial // 3) % 2 == 0)
         # one accepted step first, so that the memory holds a value above f
         kind, vertex, g_dot_d, alpha_max, _, d_sq = select_direction(st, st.gradient(), BETA)
         if g_dot_d < 0.0:
@@ -420,10 +420,12 @@ def test_line_search_needs_about_two_trials_on_a_tight_root(monkeypatch):
         return trial_objective(self, vertex, tau)
 
     monkeypatch.setattr(IterateState, "trial_objective", counted)
+    monkeypatch.setattr(fw, "_MAX_ITER", 3000)
     e1 = np.zeros(p.dim)
     e1[0] = 1.0
     diag = RelaxationDiagnostics()
-    solve_relaxation(p, e1, cfg=FwConfig(max_iter=3000, drift_window=200), diag=diag)
+    # an unreachable threshold arms the drift exit, as inside bnb
+    solve_relaxation(p, e1, prune_threshold=math.inf, diag=diag)
     searches = len(diag.halvings)
     assert searches > 100
     assert trials <= 2.1 * searches
@@ -600,7 +602,7 @@ def test_solve_relaxation_finds_interior_optimum():
 def test_solve_relaxation_monotone_mode_decreases():
     p = _problem(np.eye(2), [1.0, 0.5], QuadraticRisk(1.0))
     diag = RelaxationDiagnostics()
-    res = solve_relaxation(p, [1.0 / 3.0, 1.0 / 3.0], cfg=FwConfig(p_nm=0), diag=diag)
+    res = solve_relaxation(p, [1.0 / 3.0, 1.0 / 3.0], monotone=True, diag=diag)
     assert res.status is RelaxationStatus.OPTIMAL
     f = np.asarray(diag.f)
     assert np.all(np.diff(f) <= 0.0)
@@ -636,7 +638,7 @@ def _pgd_min(p, z0, max_iter=1_000_000):
 
 
 @pytest.mark.parametrize("h", [QuadraticRisk(1.0), ExpThresholdRisk(0.0)])
-def test_solve_relaxation_passes_through_origin_for_smooth_weightings(h):
+def test_solve_relaxation_passes_through_origin_for_smooth_weightings(h, monkeypatch):
     # on this d = 0 root the origin is not optimal and e1 is far above f(0)
     # = 0 (3.1e3 under quad, 2.0e24 under exp), so the solve starts from a
     # repaired point below f(0); from there it keeps a finite gradient for
@@ -646,26 +648,28 @@ def test_solve_relaxation_passes_through_origin_for_smooth_weightings(h):
     assert not origin_optimality_check(p).origin_optimal
     e1 = np.zeros(p.dim)
     e1[0] = 1.0
-    res = solve_relaxation(p, e1, cfg=FwConfig(max_iter=4000))
+    monkeypatch.setattr(fw, "_MAX_ITER", 4000)
+    res = solve_relaxation(p, e1)
     assert res.iters == 4000
     assert res.f_star < eval_f(p, np.zeros(p.dim))
     assert res.f_star - res.dual_bound < 1.0
 
 
-def test_solve_relaxation_rejects_origin_start_when_root_term_vanishes():
+def test_solve_relaxation_rejects_origin_start_when_root_term_vanishes(monkeypatch):
     # the origin is not optimal, so the origin start is replaced: f is 0 at
     # both the origin and the best vertex e1, and the certificate e1 first
     # beats f(0) at t = 1/2; from there the solve reaches the interior optimum
+    monkeypatch.setattr(fw, "_MAX_ITER", 5000)
     p = _problem(np.eye(2), [1.0, 0.5], QuadraticRisk(1.0))
     diag = RelaxationDiagnostics()
-    res = solve_relaxation(p, np.zeros(2), cfg=FwConfig(max_iter=5000), diag=diag)
+    res = solve_relaxation(p, np.zeros(2), diag=diag)
     assert diag.f[0] == eval_f(p, [0.5, 0.0])
     np.testing.assert_allclose(res.z_star, [0.5, 0.25], atol=1e-6)
     assert res.f_star == pytest.approx(-0.3125, abs=1e-9)
     assert res.dual_bound <= -0.3125 + 1e-12
     # with d > 0 the objective is smooth at zero and the origin start is fine
     smooth = _problem(np.eye(2), [1.0, 0.5], QuadraticRisk(1.0), d=0.5)
-    res = solve_relaxation(smooth, np.zeros(2), cfg=FwConfig(max_iter=5000))
+    res = solve_relaxation(smooth, np.zeros(2))
     np.testing.assert_allclose(res.z_star, [0.5, 0.25], atol=1e-6)
     assert res.f_star == pytest.approx(0.1875, abs=1e-9)
 
@@ -697,14 +701,37 @@ def test_solve_relaxation_prune_threshold_stops_early():
 
 
 def test_solve_relaxation_drift_window_exit_keeps_valid_bound():
-    p, _ = interior_quad_problem(11)
+    # the threshold decides the exit: without one the solve runs to its
+    # certificate, and with one, even one the bound can never reach, the
+    # drift exit stops it at its second window check with a valid bound
+    p, _ = interior_quad_problem(5)
     z0 = np.full(p.dim, 0.5 / p.dim)
     full = solve_relaxation(p, z0)
     assert full.status is RelaxationStatus.OPTIMAL
-    early = solve_relaxation(p, z0, cfg=FwConfig(drift_window=1))
+    assert full.iters == 887
+    early = solve_relaxation(p, z0, prune_threshold=math.inf)
     assert early.status is RelaxationStatus.ITER_LIMIT
-    assert early.iters < full.iters
+    assert early.iters == 2 * fw._DRIFT_WINDOW
     assert early.dual_bound <= full.f_star + 1e-10
+
+
+def test_solve_relaxation_with_diagnostics_reverifies_every_step(monkeypatch):
+    # a trial objective 1.0 too low lets the line search accept a step that
+    # raises f; a solve given diagnostics re-evaluates the step from scratch
+    # and raises, while a solve without them does not look
+    trial_objective = IterateState.trial_objective
+
+    def understated(self, vertex, tau):
+        return trial_objective(self, vertex, tau) - 1.0
+
+    monkeypatch.setattr(IterateState, "trial_objective", understated)
+    p = _problem(np.eye(2), [1.0, 0.5], QuadraticRisk(1.0), d=0.5)
+    z0 = [1.0 / 3.0, 1.0 / 3.0]
+    with pytest.raises(AssertionError, match="fails the acceptance test on re-evaluation"):
+        solve_relaxation(p, z0, diag=RelaxationDiagnostics())
+    monkeypatch.setattr(fw, "_MAX_ITER", 20)
+    res = solve_relaxation(p, z0)
+    assert res.iters == 20
 
 
 def test_result_at_origin_constructor():

@@ -154,6 +154,9 @@ def test_risk_dict_round_trip():
         back = risk_from_dict(h.to_dict())
         assert type(back) is type(h)
         assert back.to_dict() == h.to_dict()
+    # integers and numpy scalars are numbers too
+    for omega in (2, np.int64(2), np.float64(2.0)):
+        assert risk_from_dict({"kind": "quad", "omega": omega}) == QuadraticRisk(2.0)
     with pytest.raises(ValueError):
         risk_from_dict({"kind": "cubic"})
 
@@ -173,6 +176,9 @@ def test_risk_dict_round_trip():
         ({"kind": "linear", "epsilon": "high"}, "linear risk: 'epsilon' is not a number"),
         ("quad", "risk spec must be a JSON object"),
         (["linear", 0.95], "risk spec must be a JSON object"),
+        ({"kind": "quad", "omega": "2"}, "quad risk: 'omega' is not a number"),
+        ({"kind": "quad", "omega": True}, "quad risk: 'omega' is not a number"),
+        ({"kind": "linear", "epsilon": np.bool_(True)}, "linear risk: 'epsilon' is not a number"),
     ],
 )
 def test_risk_from_dict_names_the_bad_key(spec, match):
