@@ -136,7 +136,7 @@ def _pessimistic_values(M: np.ndarray, r: np.ndarray, h: RiskWeighting) -> np.nd
     clamped at zero, minus its return.
     """
     risk_est = np.maximum(np.diag(M) + 2.0 * (M.sum(axis=1) - np.diag(M)), 0.0)
-    return h.phi(risk_est) - r
+    return np.array([h.phi(float(v)) for v in risk_est]) - r
 
 
 def greedy_upper_bound(inst: MeanRiskInstance, h: RiskWeighting) -> Incumbent:

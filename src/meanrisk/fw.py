@@ -438,19 +438,16 @@ def _verify_step(
 def _repair_start(p: SimplexProblem, z0: np.ndarray, origin: OriginCheck | None) -> np.ndarray:
     """z0, or a replacement with a finite objective that beats f(0) when d = 0.
 
-    Without an origin check (``origin`` None), z0 is halved toward the origin
-    until f is finite (ExpThreshold overflows). Otherwise the iterate must stay
-    off the origin, where f may not be differentiable: z0 is kept if f(z0) <
-    f(0), else the best unit vertex if it is, else backtracking along the
-    rejected origin's strict descent certificate, which succeeds (at t = 1 for
-    the positively homogeneous linear weighting); failing it is an error.
+    Without an origin check (``origin`` None), a z0 whose objective is not
+    finite (ExpThreshold overflows) is replaced by the origin. Otherwise the
+    iterate must stay off the origin, where f may not be differentiable: z0 is
+    kept if f(z0) < f(0), else the best unit vertex if it is, else backtracking
+    along the rejected origin's strict descent certificate, which succeeds (at
+    t = 1 for the positively homogeneous linear weighting); failing it is an
+    error.
     """
     if origin is None:
-        for _ in range(81):
-            if math.isfinite(eval_f(p, z0)):
-                return z0
-            z0 = 0.5 * z0
-        return np.zeros(p.dim)
+        return z0 if math.isfinite(eval_f(p, z0)) else np.zeros(p.dim)
     f_origin = eval_f(p, np.zeros(p.dim))
     if eval_f(p, z0) < f_origin:
         return z0
@@ -467,6 +464,8 @@ def _repair_start(p: SimplexProblem, z0: np.ndarray, origin: OriginCheck | None)
     raise RuntimeError("no point along the origin check's descent certificate beats the origin")
 
 
+# a non-finite gradient ends the loop by its own test, so its overflow need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def solve_relaxation(
     p: SimplexProblem,
     z0,
@@ -484,7 +483,8 @@ def solve_relaxation(
     Otherwise the loop runs from ``_repair_start(z0)`` until the toward-step
     gap certifies optimality within ``gap_tol`` (positive and finite), the
     running dual bound (max over iterations of f + gap) reaches
-    ``prune_threshold``, or ``_MAX_ITER`` iterations. ``monotone`` selects the
+    ``prune_threshold``, or ``_MAX_ITER`` iterations; where d > 0, a start whose
+    objective is not finite is replaced by the origin. ``monotone`` selects the
     classical Armijo test over the non-monotone one.
 
     A ``prune_threshold`` also arms the slow-drift exit, which stops with

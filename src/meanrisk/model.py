@@ -66,7 +66,7 @@ class RiskWeighting:
     in ``RISK_KINDS``. The solver sees h only through phi(q) = h(sqrt(q)) on
     the quadratic form q >= 0:
 
-    - ``phi(q)`` accepts a float or an ndarray and returns the same shape;
+    - ``phi(q)`` is the float value h(sqrt q) of a float q;
     - ``dphi(q)`` is the float derivative h'(sqrt q) / (2 sqrt q), extended
       to q = 0 by its limit, and ``math.inf`` where that limit is infinite
       or the value overflows;
@@ -82,7 +82,7 @@ class RiskWeighting:
             if value is not None and not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{f.name} must be finite and nonnegative")
 
-    def phi(self, q):
+    def phi(self, q: float) -> float:
         raise NotImplementedError
 
     def dphi(self, q: float) -> float:
@@ -122,18 +122,12 @@ class LinearRisk(RiskWeighting):
             raise ValueError("linear risk needs omega or epsilon")
         super().__post_init__()
 
-    @classmethod
-    def from_confidence(cls, epsilon: float) -> "LinearRisk":
-        return cls(epsilon=float(epsilon))
-
     @property
     def origin_slope(self) -> float:
         return self.omega
 
-    def phi(self, q):
-        # math.sqrt on floats: ufunc dispatch on 0-d inputs would dominate
-        # the cost of the solver's inner loops
-        return self.omega * (np.sqrt(q) if isinstance(q, np.ndarray) else math.sqrt(q))
+    def phi(self, q: float) -> float:
+        return self.omega * math.sqrt(q)
 
     def dphi(self, q: float) -> float:
         if q < self._Q_FLOOR:
@@ -149,7 +143,7 @@ class QuadraticRisk(RiskWeighting):
 
     kind = "quad"
 
-    def phi(self, q):
+    def phi(self, q: float) -> float:
         return self.omega * q
 
     def dphi(self, q: float) -> float:
@@ -170,10 +164,7 @@ class ExpThresholdRisk(RiskWeighting):
 
     kind = "exp"
 
-    def phi(self, q):
-        if isinstance(q, np.ndarray):
-            # per entry, as np.exp can differ from math.exp in a last bit the subtraction magnifies
-            return np.array([self.phi(float(v)) for v in q.flat]).reshape(q.shape)
+    def phi(self, q: float) -> float:
         u = math.sqrt(q) - self.gamma
         if u <= 0.0:
             return 0.0
@@ -468,7 +459,7 @@ class SimplexProblem:
     def vertex_values(self) -> np.ndarray:
         """Objective value at each unit vertex e_i."""
         q = np.maximum(np.diag(self.Q) + self.c + self.d, 0.0)
-        return self.h.phi(q) - self.mu - self.t_off
+        return np.array([self.h.phi(float(v)) for v in q]) - self.mu - self.t_off
 
 
 def _unit(dim: int, i: int) -> np.ndarray:
@@ -513,12 +504,14 @@ def _risk_gradient(h: RiskWeighting, q: float, dq, mu) -> np.ndarray:
     return slope * dq - mu
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grad_f(p: SimplexProblem, z) -> np.ndarray:
     """Gradient dphi(q) (2Qz + c) - mu of f.
 
     All nan where the weighting's slope is infinite: the linear weighting
     where the root term vanishes, as at z = 0 on a d = 0 node; there
     ``fw.solve_relaxation`` decides by the origin optimality check instead.
+    A finite slope times dq may overflow to inf, without a numpy warning.
     """
     z = np.asarray(z, dtype=float)
     q = max(float(z @ p.Q @ z + p.c @ z) + p.d, 0.0)

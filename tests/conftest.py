@@ -21,7 +21,7 @@ from meanrisk.model import (
 )
 
 CRITERION_RISKS = (
-    LinearRisk.from_confidence(0.95),
+    LinearRisk(epsilon=0.95),
     QuadraticRisk(1.0),
     ExpThresholdRisk(1.0),
 )
@@ -145,9 +145,10 @@ def origin_grid_verdict(p, steps=200):
     """Is the origin a minimizer of f over the simplex, judged on a dense grid?
 
     Evaluates f on all grid points (i, j, k)/steps with i + j + k <= steps of a
-    3-dimensional problem and compares the grid minimum against f(0).
+    3-dimensional problem with a linear weighting, phi(q) = omega sqrt(q),
+    and compares the grid minimum against f(0).
     """
-    assert p.dim == 3
+    assert p.dim == 3 and isinstance(p.h, LinearRisk)
     idx = np.arange(steps + 1)
     i, j = np.meshgrid(idx, idx, indexing="ij")
     keep = (i + j) <= steps
@@ -162,5 +163,5 @@ def origin_grid_verdict(p, steps=200):
         pts.append(block)
     z = np.vstack(pts) / steps
     q = np.maximum(np.einsum("ij,jk,ik->i", z, p.Q, z) + z @ p.c + p.d, 0.0)
-    f = p.h.phi(q) - z @ p.mu - p.t_off
+    f = p.h.omega * np.sqrt(q) - z @ p.mu - p.t_off
     return eval_f(p, np.zeros(3)) <= float(f.min()) + 1e-12

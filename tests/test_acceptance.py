@@ -202,7 +202,7 @@ def test_09_return_term_shrinks_as_risk_weight_grows():
     inst = dataclasses.replace(base, r=100.0 * base.r)
     returns = []
     for eps in (0.99, 0.95, 0.91):
-        report = bnb.solve(inst, LinearRisk.from_confidence(eps))
+        report = bnb.solve(inst, LinearRisk(epsilon=eps))
         assert report.status is bnb.SolveStatus.OPTIMAL
         returns.append(report.return_term)
     assert returns[1] <= returns[0] + 1e-9

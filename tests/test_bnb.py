@@ -275,7 +275,7 @@ def test_solve_node_audit_sees_every_relaxation():
 
 def test_solve_report_dict_round_trips_values():
     inst = small_domain_instance(2)
-    report = solve(inst, LinearRisk.from_confidence(0.95))
+    report = solve(inst, LinearRisk(epsilon=0.95))
     doc = report.to_dict()
     assert doc["status"] == "optimal"
     assert doc["objective_max"] == report.objective_max

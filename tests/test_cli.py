@@ -121,7 +121,7 @@ def test_risk_flags_not_given_take_the_field_defaults():
     assert _risk_from_args(parser.parse_args(["solve", "--risk", "quad"])) == QuadraticRisk(1.0)
     assert _risk_from_args(parser.parse_args(["solve", "--risk", "exp"])) == ExpThresholdRisk(0.0)
     args = parser.parse_args(["solve", "--risk", "linear", "--epsilon", "0.95"])
-    assert _risk_from_args(args) == LinearRisk.from_confidence(0.95)
+    assert _risk_from_args(args) == LinearRisk(epsilon=0.95)
 
 
 # -------------------------------------------------------------- exit codes

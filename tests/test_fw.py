@@ -1,6 +1,8 @@
 """Conditional-gradient solver: directions, line search, caches, full solves."""
 
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -568,7 +570,7 @@ def test_origin_check_exact_on_ill_conditioned_root():
     # cond(Q) ~ 1.1e6 at the root: the exact inner value is 0.0778501, above
     # the threshold h'(0)^2 = 1/19
     inst = generate_instance(100, seed=7, budget_multiplier=0.02)
-    p = simplex_transform(FixedSubproblem.root(inst), LinearRisk.from_confidence(0.95))
+    p = simplex_transform(FixedSubproblem.root(inst), LinearRisk(epsilon=0.95))
     res = origin_optimality_check(p)
     assert not res.origin_optimal
     assert res.converged
@@ -686,6 +688,62 @@ def test_solve_relaxation_skips_the_screen_when_only_d_vanishes():
     assert res.dual_bound <= res.f_star + 1e-12
     with pytest.raises(ValueError):
         solve_relaxation(p, np.zeros(2))
+
+
+def _overflowing_problem(q0):
+    # exp(sqrt(q)) overflows float64 for q above ~5.04e5, so e1 overflows
+    # f at q0 = 1e6, while at q0 = 2e6 the point e1 / 2 keeps a finite f
+    # and a finite slope whose product with dq overflows the gradient
+    return _problem(np.diag([q0, 1.0]), [1.0, 1.0], ExpThresholdRisk(0.0), d=0.5)
+
+
+def test_solve_relaxation_replaces_an_overflowing_start_by_the_origin():
+    # f(e1) is +inf; a start just inside overflow (f = 1.4e217 at e1 / 2)
+    # would sit in the non-monotone memory and hold the iterate near it
+    p = _overflowing_problem(1e6)
+    assert eval_f(p, [1.0, 0.0]) == math.inf
+    diag = RelaxationDiagnostics()
+    res = solve_relaxation(p, [1.0, 0.0], prune_threshold=math.inf, diag=diag)
+    assert diag.f[0] == eval_f(p, np.zeros(2))
+    assert res.f_star < 1e-3
+    assert res.dual_bound <= res.f_star
+
+
+def test_solve_relaxation_ends_on_an_overflowing_gradient_without_a_numpy_warning():
+    p = _overflowing_problem(2e6)
+    z0 = [0.5, 0.0]
+    assert math.isfinite(eval_f(p, z0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grad_f(p, z0)[0] == math.inf
+        res = solve_relaxation(p, z0)
+    assert res.status is RelaxationStatus.ITER_LIMIT
+    assert res.iters == 1
+    assert res.dual_bound == -math.inf
+
+
+def test_solve_relaxation_line_search_stall_keeps_a_valid_bound(monkeypatch, caplog):
+    p, _ = interior_quad_problem(5)
+    z0 = np.full(p.dim, 0.5 / p.dim)
+    k = 5
+    calls = 0
+
+    def stalls_on_call_k(*args):
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            raise LineSearchStall("forced")
+        return line_search(*args)
+
+    monkeypatch.setattr(fw, "line_search", stalls_on_call_k)
+    with caplog.at_level(logging.WARNING, logger="meanrisk.fw"):
+        res = solve_relaxation(p, z0)
+    assert res.status is RelaxationStatus.ITER_LIMIT
+    assert res.iters == k
+    assert res.dual_bound <= res.f_star + 1e-10
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "line search stalled; node keeps its last valid bound"
+    ]
 
 
 def test_solve_relaxation_prune_threshold_stops_early():

@@ -6,7 +6,8 @@ Solves the first pass that ``perfbench/run.py --seed N`` draws for each
 workload, with this checkout's ``src``, and prints one JSON line per cell:
 status, nodes, Frank-Wolfe iterations, uncertified leaves and the objective
 as a float hex string. Two checkouts did the same work when their outputs
-are identical.
+are identical. Each workload's totals of cells, nodes, Frank-Wolfe iterations
+and uncertified leaves follow on stderr, one line a workload.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ def main(argv=None) -> int:
     for name, w in WORKLOADS.items():
         # the first draw of run.Pool's generator is the run's first pass
         cells = draw_pass(w, universe_cells(w), random.Random(f"{name}:{args.seed}"))
+        nodes = iters = uncertified = 0
         for cell in cells:
             inst = instances.generate_instance(
                 w.n, w.integer_fraction, w.budget_multiplier, seed=cell.seed)
@@ -50,6 +52,11 @@ def main(argv=None) -> int:
                 "uncertified_leaves": rep.uncertified_leaves,
                 "objective_max": rep.objective_max.hex(),
             }), flush=True)
+            nodes += rep.nodes
+            iters += rep.fw_iters_total
+            uncertified += rep.uncertified_leaves
+        print(f"{name}: {len(cells)} cells, {nodes} nodes, {iters} FW iterations, "
+              f"{uncertified} uncertified leaves", file=sys.stderr, flush=True)
     return 0
 
 
